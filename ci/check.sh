@@ -12,6 +12,8 @@
 #   3. Debug build with ThreadSanitizer running the parallel-equivalence
 #      and chaos suites — the legs that actually spin up the
 #      deterministic thread pool (DESIGN.md §9).
+#   4. The release-leg benches with identity gates, then a 2-second
+#      perfbench run of each workload (perfbench/README.md).
 #
 # Usage: ci/check.sh [build-dir-prefix]   (default: build-ci)
 
@@ -170,6 +172,17 @@ echo "artifact: $prefix-release/BENCH_exec.json"
 echo "==== bench_pipeline (pipelined/serial identity gate) ===="
 (cd "$prefix-release" && ./bench/bench_pipeline)
 echo "artifact: $prefix-release/BENCH_pipeline.json"
+
+# End-to-end benchmark, 2 seconds per workload. Each run builds
+# perfbench from src/ into $prefix-release/perfbench, runs its harness
+# tests, then its correctness gate (the same blocks, roots and residual
+# pools at 2 threads as at 1) before any timing, so a src/ change that
+# breaks either fails here rather than in a benchmark pipeline.
+for workload in backlog_drain sharded_epochs signed_stream; do
+  echo "==== perfbench $workload (harness tests + 2-vs-1-thread gate) ===="
+  CARGO_TARGET_DIR="$prefix-release" python3 perfbench/run.py \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0
+done
 
 print_lint_summary "$prefix-release"
 

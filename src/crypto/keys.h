@@ -94,7 +94,9 @@ bool Verify(const PublicKey& pk, const Hash256& message_digest,
 /// signatures for mempool admission): ok[i] = Verify(*pks[i],
 /// *digests[i], *sigs[i]). Independent per element — one forged
 /// signature flips only its own slot. Deterministic for any pool per
-/// the §9 contract (disjoint writes, no reduction).
+/// the §9 contract (disjoint writes, no reduction). When `digests` or
+/// `sigs` differs in length from `pks`, every slot of the `pks.size()`
+/// result is 0.
 std::vector<uint8_t> VerifyBatch(const std::vector<const PublicKey*>& pks,
                                  const std::vector<const Hash256*>& digests,
                                  const std::vector<const Signature*>& sigs,

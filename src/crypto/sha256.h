@@ -43,7 +43,10 @@ struct Hash256 {
 ///
 /// Usage: `Sha256 h; h.Update(a); h.Update(b); Hash256 d = h.Finalize();`
 /// or the one-shot helpers below. Tested against the NIST vectors in
-/// tests/crypto_test.cc.
+/// tests/crypto_test.cc. Blocks are compressed with the x86-64 SHA
+/// extensions when CPUID reports them and in portable C++ otherwise; both
+/// give the same digests, and no setting chooses between them
+/// (DESIGN.md §15).
 class Sha256 {
  public:
   Sha256();
@@ -58,8 +61,6 @@ class Sha256 {
   Hash256 Finalize();
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
   uint32_t state_[8];
   uint64_t total_len_ = 0;
   uint8_t buffer_[64];

@@ -53,7 +53,12 @@ std::vector<Status> TxPool::AddSignedBatch(
     const std::vector<Transaction>& txs,
     const std::vector<const PublicKey*>& pks,
     const std::vector<const Signature*>& sigs, ThreadPool* pool) {
-  assert(txs.size() == pks.size() && txs.size() == sigs.size());
+  if (pks.size() != txs.size() || sigs.size() != txs.size()) {
+    return std::vector<Status>(
+        txs.size(), Status::InvalidArgument(
+                        "signed batch: txs, keys and signatures differ in "
+                        "length"));
+  }
   std::vector<Hash256> digests(txs.size());
   std::vector<const Hash256*> digest_ptrs(txs.size());
   for (size_t i = 0; i < txs.size(); ++i) {

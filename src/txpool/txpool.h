@@ -57,6 +57,8 @@ class TxPool {
   /// are checked through crypto VerifyBatch (parallel when `pool` is
   /// non-null); a bad signature rejects only its own transaction with
   /// Unauthorized, the rest of the batch proceeds as in `AddBatch`.
+  /// When `pks` or `sigs` differs in length from `txs`, every
+  /// transaction gets InvalidArgument and none is admitted.
   [[nodiscard]] std::vector<Status> AddSignedBatch(
       const std::vector<Transaction>& txs,
       const std::vector<const PublicKey*>& pks,

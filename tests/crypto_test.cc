@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -7,6 +10,7 @@
 #include "crypto/keys.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_internal.h"
 #include "crypto/vrf.h"
 
 namespace shardchain {
@@ -40,14 +44,47 @@ TEST(Sha256Test, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
+// SHA-256 of 'a' × n at every padding boundary: the 0x80 byte and the
+// length field fit in the last block (n ≤ 55), the length field spills
+// into a second block (56–63), and the message fills whole blocks (64,
+// 128). Generated with python3 hashlib.
+struct RepeatedAKnownAnswer {
+  size_t n;
+  const char* hex;
+};
+
+constexpr RepeatedAKnownAnswer kRepeatedAKnownAnswers[] = {
+    {31, "61c60b487d1a921e0bcc9bf853dda0fb159b30bf57b2e2d2c753b00be15b5a09"},
+    {32, "3ba3f5f43b92602683c19aee62a20342b084dd5971ddd33808d81a328879a547"},
+    {33, "852785c805c77e71a22340a54e9d95933ed49121e7d2bf3c2d358854bc1359ea"},
+    {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+    {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+    {57, "f13b2d724659eb3bf47f2dd6af1accc87b81f09f59f2b75e5c0bed6589dfe8c6"},
+    {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+    {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+    {65, "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"},
+    {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+    {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+    {127, "c57e9278af78fa3cab38667bef4ce29d783787a2f731d4e12200270f0c32320a"},
+    {128, "6836cf13bac400e9105071cd6af47084dfacad4e5e302c94bfed24e013afb73e"},
+    {129, "c12cb024a2e5551cca0e08fce8f1c5e314555cc3fef6329ee994a3db752166ae"},
+    {16384,
+     "f3336bea752b5a28743033dd2c844a4a63fba08871aaee2586a2bf2d69be83a2"},
+};
+
 TEST(Sha256Test, ExactBlockBoundary) {
-  // 64 bytes: padding spills into a second block.
-  const std::string msg(64, 'x');
-  EXPECT_EQ(Sha256Digest(msg).ToHex(),
-            Sha256Digest(msg.substr(0, 32) + msg.substr(32)).ToHex());
-  // 55 and 56 bytes straddle the length-field boundary.
-  EXPECT_NE(Sha256Digest(std::string(55, 'y')),
-            Sha256Digest(std::string(56, 'y')));
+  for (const RepeatedAKnownAnswer& kat : kRepeatedAKnownAnswers) {
+    const std::string msg(kat.n, 'a');
+    EXPECT_EQ(Sha256Digest(msg).ToHex(), kat.hex) << "n=" << kat.n;
+    for (size_t piece : {size_t{1}, size_t{7}, size_t{64}}) {
+      Sha256 h;
+      for (size_t pos = 0; pos < msg.size(); pos += piece) {
+        h.Update(std::string_view(msg).substr(pos, piece));
+      }
+      EXPECT_EQ(h.Finalize().ToHex(), kat.hex)
+          << "n=" << kat.n << " piece=" << piece;
+    }
+  }
 }
 
 TEST(Sha256Test, IncrementalMatchesOneShot) {
@@ -82,6 +119,86 @@ TEST(Sha256Test, HashPairDependsOnOrder) {
   const Hash256 a = Sha256Digest("a");
   const Hash256 b = Sha256Digest("b");
   EXPECT_NE(HashPair(a, b), HashPair(b, a));
+}
+
+// ------------------- SHA-256 compression kernels ------------------------
+// Sha256 compresses with the SHA-NI body when CPUID reports the SHA
+// extensions and with the portable body otherwise (DESIGN.md §15). The
+// portable body is the reference for both.
+
+const char* SelectedKernel() {
+  return sha256_internal::CpuHasShaNi() ? "SHA-NI" : "portable";
+}
+
+Bytes RandomBytes(Rng* rng, size_t n) {
+  Bytes out(n);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng->Next());
+  return out;
+}
+
+TEST(Sha256Kernel, ShaNiMatchesPortable) {
+  std::cout << "sha256 kernel selected: " << SelectedKernel() << "\n";
+#if defined(__x86_64__)
+  if (!sha256_internal::CpuHasShaNi()) {
+    GTEST_SKIP() << "CPUID reports no SHA extensions";
+  }
+  Rng rng(0x5a5a);
+  for (int trial = 0; trial < 10000; ++trial) {
+    const size_t blocks = 1 + rng.UniformInt(8);
+    const size_t offset = rng.UniformInt(16);
+    const Bytes buf = RandomBytes(&rng, offset + 64 * blocks);
+    uint32_t portable[8];
+    for (uint32_t& word : portable) word = static_cast<uint32_t>(rng.Next());
+    uint32_t sha_ni[8];
+    std::memcpy(sha_ni, portable, sizeof(portable));
+    sha256_internal::CompressPortable(portable, buf.data() + offset, blocks);
+    sha256_internal::CompressShaNi(sha_ni, buf.data() + offset, blocks);
+    ASSERT_EQ(std::memcmp(portable, sha_ni, sizeof(portable)), 0)
+        << "trial=" << trial << " blocks=" << blocks << " offset=" << offset;
+  }
+#else
+  GTEST_SKIP() << "SHA-NI body is compiled only on x86-64";
+#endif
+}
+
+// The reference pads explicitly and compresses with the portable body;
+// Sha256 buffers, pads in place and runs the selected body.
+Hash256 PortableReferenceDigest(const Bytes& msg) {
+  Bytes padded = msg;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0x00);
+  const uint64_t bit_len = static_cast<uint64_t>(msg.size()) * 8;
+  for (int i = 0; i < 8; ++i) {
+    padded.push_back(static_cast<uint8_t>(bit_len >> (56 - 8 * i)));
+  }
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  sha256_internal::CompressPortable(state, padded.data(), padded.size() / 64);
+  Hash256 out;
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      out.bytes[i * 4 + j] = static_cast<uint8_t>(state[i] >> (24 - 8 * j));
+    }
+  }
+  return out;
+}
+
+TEST(Sha256Kernel, StreamedDigestsMatchPortableReference) {
+  std::cout << "sha256 kernel selected: " << SelectedKernel() << "\n";
+  Rng rng(0xd16e57);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Bytes msg = RandomBytes(&rng, rng.UniformInt(1101));
+    Sha256 h;
+    size_t pos = 0;
+    while (pos < msg.size()) {
+      const size_t piece = std::min<size_t>(msg.size() - pos,
+                                            rng.UniformInt(200));
+      h.Update(msg.data() + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(h.Finalize(), PortableReferenceDigest(msg))
+        << "trial=" << trial << " len=" << msg.size();
+  }
 }
 
 // ------------------------ Lamport signatures ---------------------------

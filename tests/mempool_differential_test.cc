@@ -6,10 +6,12 @@
 // evictions. Also pins the PR 1 fee-tie eviction determinism (retained
 // set independent of arrival order), the legacy pool's batched
 // RemoveAll (sweep and per-key paths), and batch signature
-// verification at admission (one bad signature rejects only its tx).
+// verification at admission (one bad signature rejects only its tx;
+// mismatched batch lengths admit nothing, in every build).
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -231,6 +233,54 @@ TEST(TxPoolSignedBatch, SigningDigestIsDomainSeparatedFromId) {
   const Signature over_id = key.Sign(tx.Id());
   EXPECT_FALSE(Verify(key.public_key(), tx.SigningDigest(), over_id));
   EXPECT_TRUE(Verify(key.public_key(), tx.Id(), over_id));
+}
+
+TEST(TxPoolSignedBatch, MismatchedLengthsAdmitNothingInEveryBuild) {
+  Rng rng(29);
+  std::vector<Transaction> txs;
+  std::vector<KeyPair> keys;
+  std::vector<Signature> sigs;
+  std::vector<Hash256> digests;
+  for (int i = 0; i < 4; ++i) {
+    txs.push_back(RandTx(&rng, 10));
+    keys.push_back(KeyPair::FromSeed(2000 + i));
+    digests.push_back(txs[i].SigningDigest());
+    sigs.push_back(keys[i].Sign(digests[i]));
+  }
+  std::vector<const PublicKey*> pks;
+  std::vector<const Signature*> sig_ptrs;
+  std::vector<const Hash256*> digest_ptrs;
+  for (int i = 0; i < 4; ++i) {
+    pks.push_back(&keys[i].public_key());
+    sig_ptrs.push_back(&sigs[i]);
+    digest_ptrs.push_back(&digests[i]);
+  }
+  const std::vector<const PublicKey*> short_pks(pks.begin(), pks.end() - 1);
+  const std::vector<const Signature*> short_sigs(sig_ptrs.begin(),
+                                                 sig_ptrs.end() - 1);
+  const std::vector<const Hash256*> short_digests(digest_ptrs.begin(),
+                                                  digest_ptrs.end() - 1);
+
+  // Every signature is valid, so only the length check can reject.
+  TxPool pool(/*capacity=*/64, /*chunk_capacity=*/8);
+  using Args = std::pair<const std::vector<const PublicKey*>*,
+                         const std::vector<const Signature*>*>;
+  for (const Args& args : {Args{&short_pks, &sig_ptrs},
+                           Args{&pks, &short_sigs}}) {
+    const std::vector<Status> got =
+        pool.AddSignedBatch(txs, *args.first, *args.second, /*pool=*/nullptr);
+    ASSERT_EQ(got.size(), txs.size());
+    for (const Status& st : got) {
+      EXPECT_TRUE(st.IsInvalidArgument()) << st.message();
+    }
+    EXPECT_EQ(pool.Size(), 0u);
+  }
+
+  const std::vector<uint8_t> none(pks.size(), 0);
+  EXPECT_EQ(VerifyBatch(pks, short_digests, sig_ptrs, nullptr), none);
+  EXPECT_EQ(VerifyBatch(pks, digest_ptrs, short_sigs, nullptr), none);
+  EXPECT_EQ(VerifyBatch(pks, digest_ptrs, sig_ptrs, nullptr),
+            std::vector<uint8_t>(pks.size(), 1));
 }
 
 // ------------------- chunk lifecycle -------------------------------------
