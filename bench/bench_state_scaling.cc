@@ -224,13 +224,11 @@ std::vector<Transaction> BlockTxs(size_t accounts) {
 Hash256 OldStyleBuild(const Ledger& ledger, const Address& miner,
                       const std::vector<Transaction>& txs) {
   StateDB scratch = ledger.tip_state();
-  ChainConfig no_reward = ledger.config();
-  no_reward.block_reward = 0;
   size_t included = 0;
   for (const Transaction& tx : txs) {
     if (included >= ledger.config().max_txs_per_block) break;
     StateDB trial = scratch;
-    if (Ledger::ExecuteTransactions({tx}, miner, no_reward, &trial).ok()) {
+    if (Ledger::ExecuteTransaction(tx, miner, ledger.config(), &trial).ok()) {
       scratch = std::move(trial);
       ++included;
     }

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <set>
 
-#include "chain/parallel_exec.h"
+#include "chain/executor.h"
 
 namespace shardchain {
 
@@ -38,44 +38,40 @@ const StateDB& Ledger::tip_state() const {
   return nodes_.at(tip_hash_).post_state;
 }
 
-Status Ledger::ExecuteTransactions(const std::vector<Transaction>& txs,
-                                   const Address& miner,
-                                   const ChainConfig& config, StateDB* state) {
+Status Ledger::ExecuteTransaction(const Transaction& tx, const Address& miner,
+                                  const ChainConfig& config, StateDB* state) {
   assert(state != nullptr);
-  for (const Transaction& tx : txs) {
-    if (config.strict_nonces && tx.nonce != state->NonceOf(tx.sender)) {
-      return Status::FailedPrecondition("nonce mismatch for sender " +
-                                        tx.sender.ToHex());
-    }
-    if (state->BalanceOf(tx.sender) < tx.fee + tx.value) {
-      return Status::FailedPrecondition("sender cannot cover fee + value");
-    }
-    // Fee first, then the action.
-    SHARDCHAIN_RETURN_IF_ERROR(state->Transfer(tx.sender, miner, tx.fee));
-    switch (tx.kind) {
-      case TxKind::kDirectTransfer:
-        SHARDCHAIN_RETURN_IF_ERROR(
-            state->Transfer(tx.sender, tx.recipient, tx.value));
-        break;
-      case TxKind::kContractCall: {
-        Result<ExecReceipt> receipt = ContractRegistry::Call(state, tx);
-        if (!receipt.ok()) return receipt.status();
-        break;
-      }
-      case TxKind::kContractDeploy: {
-        Result<ContractProgram> program =
-            ContractProgram::Deserialize(tx.payload);
-        if (!program.ok()) return program.status();
-        const Address addr =
-            Address::ForContract(tx.sender, state->NonceOf(tx.sender));
-        SHARDCHAIN_RETURN_IF_ERROR(
-            state->DeployContract(addr, program->Serialize()));
-        break;
-      }
-    }
-    state->GetOrCreate(tx.sender).nonce += 1;
+  if (config.strict_nonces && tx.nonce != state->NonceOf(tx.sender)) {
+    return Status::FailedPrecondition("nonce mismatch for sender " +
+                                      tx.sender.ToHex());
   }
-  state->Mint(miner, config.block_reward);
+  if (state->BalanceOf(tx.sender) < tx.fee + tx.value) {
+    return Status::FailedPrecondition("sender cannot cover fee + value");
+  }
+  // Fee first, then the action.
+  SHARDCHAIN_RETURN_IF_ERROR(state->Transfer(tx.sender, miner, tx.fee));
+  switch (tx.kind) {
+    case TxKind::kDirectTransfer:
+      SHARDCHAIN_RETURN_IF_ERROR(
+          state->Transfer(tx.sender, tx.recipient, tx.value));
+      break;
+    case TxKind::kContractCall: {
+      Result<ExecReceipt> receipt = ContractRegistry::Call(state, tx);
+      if (!receipt.ok()) return receipt.status();
+      break;
+    }
+    case TxKind::kContractDeploy: {
+      Result<ContractProgram> program =
+          ContractProgram::Deserialize(tx.payload);
+      if (!program.ok()) return program.status();
+      const Address addr =
+          Address::ForContract(tx.sender, state->NonceOf(tx.sender));
+      SHARDCHAIN_RETURN_IF_ERROR(
+          state->DeployContract(addr, program->Serialize()));
+      break;
+    }
+  }
+  state->GetOrCreate(tx.sender).nonce += 1;
   return Status::OK();
 }
 
@@ -88,11 +84,13 @@ Status Ledger::Validate(const Block& block, const Node& parent) const {
   if (h.number != parent.height + 1) {
     return Status::InvalidArgument("block number does not extend parent");
   }
-  if (h.tx_root != block.ComputeTxRoot()) {
-    return Status::Corruption("tx root does not match block body");
-  }
+  // Count before hashing: an overfull block is rejected without
+  // encoding and hashing its whole body.
   if (block.transactions.size() > config_.max_txs_per_block) {
     return Status::InvalidArgument("block exceeds transaction limit");
+  }
+  if (h.tx_root != block.ComputeTxRoot()) {
+    return Status::Corruption("tx root does not match block body");
   }
   if (config_.check_pow && !PowValid(h)) {
     return Status::Unauthorized("proof-of-work below difficulty");
@@ -123,8 +121,11 @@ Result<Hash256> Ledger::Append(const Block& block) {
     last_built_.reset();
   } else {
     node.post_state = parent.post_state;
-    SHARDCHAIN_RETURN_IF_ERROR(ExecuteTransactions(
-        block.transactions, block.header.miner, config_, &node.post_state));
+    for (const Transaction& tx : block.transactions) {
+      SHARDCHAIN_RETURN_IF_ERROR(ExecuteTransaction(
+          tx, block.header.miner, config_, &node.post_state));
+    }
+    node.post_state.Mint(block.header.miner, config_.block_reward);
     if (block.header.state_root != node.post_state.StateRoot()) {
       return Status::Corruption("state root mismatch after execution");
     }
@@ -162,40 +163,10 @@ Result<Block> Ledger::BuildBlock(const Address& miner,
   block.header.miner = miner;
   block.header.timestamp = timestamp;
 
-  StateDB scratch;
-  if (exec_pool_ != nullptr) {
-    // Conflict-aware parallel packing: non-conflicting candidates run
-    // concurrently on lanes and merge deterministically; inclusion and
-    // state are bitwise identical to the serial loop below.
-    std::vector<uint8_t> included;
-    SHARDCHAIN_ASSIGN_OR_RETURN(
-        scratch, ExecuteCandidatesParallel(
-                     tip.post_state, txs, miner, config_,
-                     config_.max_txs_per_block, exec_pool_, &included,
-                     /*stats=*/nullptr));
-    for (size_t i = 0; i < txs.size(); ++i) {
-      if (included[i] != 0) block.transactions.push_back(std::move(txs[i]));
-    }
-  } else {
-    // Greedily include executable transactions up to the block limit.
-    // Each candidate runs against a journaled revert point — committed
-    // if it executes, rolled back if not — so trying a transaction
-    // costs O(accounts it touches), not a copy of the whole state.
-    scratch = tip.post_state;
-    ChainConfig no_reward = config_;
-    no_reward.block_reward = 0;
-    for (Transaction& tx : txs) {
-      if (block.transactions.size() >= config_.max_txs_per_block) break;
-      const size_t trial = scratch.Snapshot();
-      const std::vector<Transaction> single{tx};
-      if (ExecuteTransactions(single, miner, no_reward, &scratch).ok()) {
-        SHARDCHAIN_RETURN_IF_ERROR(scratch.Commit(trial));
-        block.transactions.push_back(std::move(tx));
-      } else {
-        SHARDCHAIN_RETURN_IF_ERROR(scratch.RevertTo(trial));
-      }
-    }
-  }
+  StateDB scratch = tip.post_state;
+  SHARDCHAIN_ASSIGN_OR_RETURN(
+      block.transactions,
+      ExecuteCandidates(std::move(txs), miner, config_, exec_pool_, &scratch));
   scratch.Mint(miner, config_.block_reward);
 
   block.header.tx_root = block.ComputeTxRoot();

@@ -55,7 +55,8 @@ class Ledger {
   /// Validates and stores `block`:
   ///  - parent must be known; number must be parent.number + 1;
   ///  - header.shard_id must equal this ledger's shard (Sec. III-C);
-  ///  - tx_root must match the body; optional PoW check;
+  ///  - at most max_txs_per_block transactions, checked before the body
+  ///    is hashed; tx_root must match the body; optional PoW check;
   ///  - every transaction must execute successfully on the parent state
   ///    (fees + block reward credited to the miner).
   /// On success the block joins the tree and fork choice may advance
@@ -73,20 +74,16 @@ class Ledger {
   [[nodiscard]] Result<Hash256> AppendExecuted(const Block& block,
                                               StateDB post_state);
 
-  /// Convenience: builds a valid block on the current tip from `txs`
-  /// (truncated to max_txs_per_block), executing them to fill in the
-  /// roots. Transactions that fail execution are skipped, mirroring a
-  /// miner dropping invalid txs while packing. Does not append. Fails
-  /// only on internal invariant violations (snapshot bracket errors,
-  /// a journal escaping its derived footprint) — never on individual
-  /// invalid candidates.
+  /// Convenience: builds a valid block on the current tip from `txs`,
+  /// executing them to fill in the roots. Candidates are packed by the
+  /// block executor (chain/executor.h): each one that executes is kept,
+  /// in order, up to max_txs_per_block, mirroring a miner dropping
+  /// invalid txs while packing. Does not append. Fails only on internal
+  /// invariant violations (snapshot bracket errors, a journal escaping
+  /// its derived footprint) — never on individual invalid candidates.
   ///
-  /// With no exec pool installed, candidates execute serially against a
-  /// journaled revert point on one shared scratch state (no
-  /// per-transaction StateDB copy). With SetExecPool, non-conflicting
-  /// candidates execute concurrently on conflict-graph lanes against
-  /// forked COW views and merge deterministically
-  /// (chain/parallel_exec.h) — the block bytes, inclusion decisions,
+  /// With SetExecPool, non-conflicting candidates execute concurrently
+  /// on conflict-graph lanes — the block bytes, inclusion decisions,
   /// and state root are bitwise identical either way. The executed
   /// post-state is retained so Append of the freshly built block skips
   /// re-execution and the second StateRoot() derivation.
@@ -94,8 +91,8 @@ class Ledger {
                                          std::vector<Transaction> txs,
                                          uint64_t timestamp) const;
 
-  /// Installs the thread pool BuildBlock uses for conflict-aware
-  /// parallel candidate execution (nullptr = serial greedy loop).
+  /// Installs the thread pool BuildBlock hands the block executor for
+  /// lane-parallel candidate execution (nullptr = serial greedy loop).
   /// Never consensus-visible.
   void SetExecPool(ThreadPool* pool) { exec_pool_ = pool; }
 
@@ -132,14 +129,14 @@ class Ledger {
   /// post-state after its authoritative home moved to another shard.
   [[nodiscard]] Status EvictAccount(const Address& addr);
 
-  /// Executes `txs` in order against `state`: nonce check, fee charge,
-  /// value transfer / contract call / deploy. Stops with an error on
-  /// the first invalid transaction (states are not rolled back by this
-  /// helper; callers pass a scratch copy). Fees and `block_reward` go
-  /// to `miner`.
-  [[nodiscard]] static Status ExecuteTransactions(
-      const std::vector<Transaction>& txs, const Address& miner,
-      const ChainConfig& config, StateDB* state);
+  /// Executes one transaction against `state`: nonce check, fee charge
+  /// to `miner`, then the value transfer / contract call / deploy. On
+  /// failure `state` may hold partial writes (callers run it inside a
+  /// snapshot bracket or on a scratch copy). Mints no block reward.
+  [[nodiscard]] static Status ExecuteTransaction(const Transaction& tx,
+                                                 const Address& miner,
+                                                 const ChainConfig& config,
+                                                 StateDB* state);
 
  private:
   struct Node {

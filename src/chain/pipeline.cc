@@ -3,6 +3,7 @@
 #include <exception>
 #include <utility>
 
+#include "chain/executor.h"
 #include "parallel/async_worker.h"
 
 namespace shardchain {
@@ -26,8 +27,6 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
   PipelineResult result;
   if (count == 0) return result;
   const ChainConfig& config = ledger_->config();
-  ChainConfig no_reward = config;
-  no_reward.block_reward = 0;
 
   // Stage-local states. exec_state is the selector/executor's working
   // copy; commit_state is the worker's shadow replica. Both copies
@@ -49,26 +48,15 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
   {
     AsyncWorker committer(config_.max_queued_blocks);
     for (size_t round = 0; round < count; ++round) {
-      std::vector<Transaction> candidates =
-          pool_->TopByFee(config.max_txs_per_block);
-
-      // Greedy inclusion — the same per-candidate snapshot bracket as
-      // Ledger::BuildBlock's serial path, against exec_state in place.
+      // Greedy inclusion in place on exec_state: the block executor's
+      // serial loop (no pool — the producer stays serial, DESIGN.md §14).
       // parlint:allow(unbalanced-snapshot): delta-collection bracket, always committed, never reverted
       const size_t outer = exec_state.Snapshot();
       std::vector<Transaction> included;
-      for (Transaction& tx : candidates) {
-        if (included.size() >= config.max_txs_per_block) break;
-        const size_t trial = exec_state.Snapshot();
-        const std::vector<Transaction> single{tx};
-        if (Ledger::ExecuteTransactions(single, miner, no_reward, &exec_state)
-                .ok()) {
-          SHARDCHAIN_RETURN_IF_ERROR(exec_state.Commit(trial));
-          included.push_back(std::move(tx));
-        } else {
-          SHARDCHAIN_RETURN_IF_ERROR(exec_state.RevertTo(trial));
-        }
-      }
+      SHARDCHAIN_ASSIGN_OR_RETURN(
+          included,
+          ExecuteCandidates(pool_->TopByFee(config.max_txs_per_block), miner,
+                            config, /*pool=*/nullptr, &exec_state));
       exec_state.Mint(miner, config.block_reward);
 
       // Value-snapshot this block's account delta for the worker

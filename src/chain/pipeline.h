@@ -35,10 +35,11 @@ struct PipelineResult {
 /// scale (O(dirty · depth) hashing). BlockPipeline splits the loop into
 /// two stages:
 ///
-///  - the CALLING thread selects and greedily executes block N+1's
-///    candidates in place on a persistent execution state (the same
-///    journaled snapshot brackets as Ledger::BuildBlock's serial path),
-///    then value-snapshots the block's account delta (TouchedSince);
+///  - the CALLING thread selects block N+1's candidates and packs them
+///    in place on a persistent execution state with the block executor
+///    (chain/executor.h, serial loop — the same code as
+///    Ledger::BuildBlock), then value-snapshots the block's account
+///    delta (TouchedSince);
 ///  - an AsyncWorker (parallel/async_worker.h) replays each delta onto
 ///    a shadow commit state, derives the state root, finalizes the
 ///    header (parent hash chaining is worker-local, FIFO), and copies

@@ -27,8 +27,9 @@ namespace shardchain {
 /// erases; admission is batchable (`AddBatch`, with signatures verified
 /// through crypto VerifyBatch in `AddSignedBatch`); emission merges
 /// lazily-sorted per-chunk runs through a k-way heap so `TopByFee`
-/// bytes are identical to the legacy single-map pool
-/// (`LegacyTxPool`, pinned by tests/mempool_differential_test.cc).
+/// bytes are identical to the legacy single-map pool (`LegacyTxPool`,
+/// kept in tests/legacy_pool.h and pinned by
+/// tests/mempool_differential_test.cc).
 ///
 /// Observable semantics — accepted/rejected statuses, eviction choice,
 /// emission order — are a function of the arrival sequence only, never

@@ -183,6 +183,20 @@ TEST(LedgerTest, AppendRejectsOverfullBlock) {
   EXPECT_TRUE(ledger.Append(block).status().IsInvalidArgument());
 }
 
+TEST(LedgerTest, AppendRejectsOverfullBlockBeforeHashing) {
+  // The count is checked before the tx root, so an overfull block is
+  // rejected as overfull (bounded work) even when its root is stale.
+  ChainConfig config;
+  config.max_txs_per_block = 2;
+  Ledger ledger(1, FundedState(), config);
+  Block block = MustBuild(ledger, Addr(9), {}, 1);
+  for (uint64_t n = 0; n < 3; ++n) {
+    block.transactions.push_back(Pay(Addr(1), Addr(2), 1, 1, n));
+  }
+  ASSERT_NE(block.header.tx_root, block.ComputeTxRoot());
+  EXPECT_TRUE(ledger.Append(block).status().IsInvalidArgument());
+}
+
 TEST(LedgerTest, BuildBlockRespectsCapacityAndSkipsInvalid) {
   ChainConfig config;
   config.max_txs_per_block = 3;

@@ -18,7 +18,7 @@
 
 #include "common/rng.h"
 #include "crypto/keys.h"
-#include "txpool/legacy_pool.h"
+#include "legacy_pool.h"
 #include "txpool/txpool.h"
 
 namespace shardchain {

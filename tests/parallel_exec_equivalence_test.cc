@@ -8,7 +8,9 @@
 // degrade to a width-1 schedule), and contract-call mixes with deploys
 // and serial barriers. A seeded conflict-schedule fuzz additionally
 // asserts the lane coloring invariant and that the modification-log
-// merge equals serial replay account-by-account (DESIGN.md §13).
+// merge equals serial replay account-by-account, and the executor's
+// in-place contract is pinned under a caller-held snapshot
+// (DESIGN.md §13).
 
 #include <cstdint>
 #include <map>
@@ -19,7 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "chain/ledger.h"
-#include "chain/parallel_exec.h"
+#include "chain/executor.h"
 #include "common/rng.h"
 #include "contract/registry.h"
 #include "contract/vm.h"
@@ -304,21 +306,12 @@ TEST(ParallelExecEquivalence, AllConflictDegradesToSerialSchedule) {
     for (size_t i = 0; i < s.txs.size(); ++i) {
       EXPECT_EQ(schedule.lane_of[i], static_cast<uint32_t>(i));
     }
-    // The engine reports the degenerate width through its stats.
-    std::vector<uint8_t> included;
-    ParallelExecStats stats;
-    ThreadPool pool(4);
-    Result<StateDB> post = ExecuteCandidatesParallel(
-        s.genesis, s.txs, miner, s.config, s.config.max_txs_per_block, &pool,
-        &included, &stats);
-    ASSERT_TRUE(post.ok());
-    EXPECT_EQ(stats.max_lane_width, 1u);
   }
 }
 
 TEST(ParallelExecEquivalence, BlockCapOverflowMatchesSerial) {
-  // More valid candidates than the block holds: the engine must rebuild
-  // the post-state without the beyond-cap effects.
+  // More valid candidates than the block holds: the lanes branch must
+  // roll the beyond-cap effects back out of the post-state.
   for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
     Scenario s = UniformScenario(seed);
     s.config.max_txs_per_block = 5;
@@ -410,24 +403,27 @@ TEST(ConflictScheduleFuzz, NoLaneCoSchedulesConflictingTransactions) {
   }
 }
 
-/// Serial replay reference for the merge fuzz: the exact greedy loop
-/// BuildBlock runs without a pool, minus header assembly.
+/// Ids of `txs`, in order.
+std::vector<Hash256> Ids(const std::vector<Transaction>& txs) {
+  std::vector<Hash256> ids;
+  for (const Transaction& tx : txs) ids.push_back(tx.Id());
+  return ids;
+}
+
+/// Serial replay reference for the merge fuzz: greedy inclusion written
+/// out independently of the executor, minus header assembly.
 StateDB SerialReplay(const StateDB& genesis,
                      const std::vector<Transaction>& txs, const Address& miner,
-                     const ChainConfig& config, size_t max_include,
-                     std::vector<uint8_t>* included) {
+                     const ChainConfig& config,
+                     std::vector<Transaction>* included) {
   StateDB scratch = genesis;
-  ChainConfig no_reward = config;
-  no_reward.block_reward = 0;
-  included->assign(txs.size(), 0);
-  size_t count = 0;
-  for (size_t i = 0; i < txs.size() && count < max_include; ++i) {
+  included->clear();
+  for (const Transaction& tx : txs) {
+    if (included->size() >= config.max_txs_per_block) break;
     const size_t trial = scratch.Snapshot();
-    const std::vector<Transaction> single{txs[i]};
-    if (Ledger::ExecuteTransactions(single, miner, no_reward, &scratch).ok()) {
+    if (Ledger::ExecuteTransaction(tx, miner, config, &scratch).ok()) {
       EXPECT_TRUE(scratch.Commit(trial).ok());
-      (*included)[i] = 1;
-      ++count;
+      included->push_back(tx);
     } else {
       EXPECT_TRUE(scratch.RevertTo(trial).ok());
     }
@@ -436,8 +432,9 @@ StateDB SerialReplay(const StateDB& genesis,
 }
 
 TEST(ConflictScheduleFuzz, ModificationLogMergeEqualsSerialReplay) {
-  // Random overlapping transfer workloads; compare the merged engine
-  // state to serial replay account-by-account, not just by root.
+  // Random overlapping transfer workloads; compare the executor's state
+  // to serial replay account-by-account, not just by root, on the
+  // serial branch (1 thread) and on lanes (4 threads).
   for (uint64_t seed = 1; seed <= 100; ++seed) {
     SCOPED_TRACE("merge fuzz seed " + std::to_string(seed));
     Rng rng(seed * 2654435761u + 9);
@@ -464,39 +461,83 @@ TEST(ConflictScheduleFuzz, ModificationLogMergeEqualsSerialReplay) {
       nonces[from] = tx.nonce == nonces[from] ? nonces[from] + 1 : nonces[from];
     }
     ChainConfig config;
-    const size_t cap = 6 + rng.UniformInt(30);
+    config.max_txs_per_block = 6 + rng.UniformInt(30);
 
-    std::vector<uint8_t> serial_included;
+    std::vector<Transaction> serial_included;
     const StateDB serial =
-        SerialReplay(genesis, txs, miner, config, cap, &serial_included);
+        SerialReplay(genesis, txs, miner, config, &serial_included);
 
-    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr)}) {
-      std::vector<uint8_t> included;
-      ParallelExecStats stats;
-      Result<StateDB> merged = ExecuteCandidatesParallel(
-          genesis, txs, miner, config, cap, pool, &included, &stats);
-      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-      EXPECT_EQ(included, serial_included);
+    for (const size_t threads : {1, 4}) {
+      ThreadPool pool(threads);
+      StateDB merged = genesis;
+      Result<std::vector<Transaction>> included =
+          ExecuteCandidates(txs, miner, config, &pool, &merged);
+      ASSERT_TRUE(included.ok()) << included.status().ToString();
+      EXPECT_EQ(Ids(*included), Ids(serial_included)) << threads;
       // Account-by-account equality, then the authenticated root.
-      EXPECT_EQ(merged->Addresses(), serial.Addresses());
+      EXPECT_EQ(merged.Addresses(), serial.Addresses()) << threads;
       for (const Address& addr : serial.Addresses()) {
         const Account* expect = serial.Find(addr);
-        const Account* got = merged->Find(addr);
+        const Account* got = merged.Find(addr);
         ASSERT_NE(got, nullptr) << addr.ToHex();
         EXPECT_EQ(got->balance, expect->balance) << addr.ToHex();
         EXPECT_EQ(got->nonce, expect->nonce) << addr.ToHex();
         EXPECT_EQ(got->storage, expect->storage) << addr.ToHex();
         EXPECT_EQ(got->code, expect->code) << addr.ToHex();
       }
-      EXPECT_EQ(merged->StateRoot(), serial.StateRoot());
+      EXPECT_EQ(merged.StateRoot(), serial.StateRoot()) << threads;
     }
-    ThreadPool pool(4);
-    std::vector<uint8_t> included;
-    Result<StateDB> merged = ExecuteCandidatesParallel(
-        genesis, txs, miner, config, cap, &pool, &included, nullptr);
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    EXPECT_EQ(included, serial_included);
-    EXPECT_EQ(merged->StateRoot(), serial.StateRoot());
+  }
+}
+
+// ------------------- in-place contract -----------------------------------
+
+/// What one ExecuteCandidates call under a caller-held snapshot left
+/// behind, before the caller rolls it back.
+struct InPlaceRun {
+  std::vector<Hash256> included;
+  std::vector<Address> touched;
+  Hash256 root;
+};
+
+TEST(ParallelExecEquivalence, InPlaceUnderCallerSnapshot) {
+  // The pipeline's calling pattern: the executor runs on a state the
+  // caller already holds a snapshot on. Every branch must close the
+  // brackets it opens — including the lanes branch's overflow rollback
+  // (cap 5) — leave the same journal span as the serial loop, and stay
+  // revertible by the caller.
+  const Address miner = Addr(0x99);
+  for (const int kind : {0, 3}) {
+    for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
+      for (const uint64_t cap : {5u, 1000u}) {
+        SCOPED_TRACE(std::string(KindName(kind)) + " seed " +
+                     std::to_string(seed) + " cap " + std::to_string(cap));
+        Scenario s = MakeScenario(kind, seed);
+        s.config.max_txs_per_block = cap;
+        const Hash256 pre_root = s.genesis.StateRoot();
+        std::vector<InPlaceRun> runs;
+        for (const size_t threads : kThreadCounts) {
+          ThreadPool pool(threads);
+          StateDB state = s.genesis;
+          const size_t outer = state.Snapshot();
+          Result<std::vector<Transaction>> included =
+              ExecuteCandidates(s.txs, miner, s.config, &pool, &state);
+          ASSERT_TRUE(included.ok()) << included.status().ToString();
+          EXPECT_EQ(state.SnapshotDepth(), 1u) << threads;
+          Result<std::vector<Address>> touched = state.TouchedSince(outer);
+          ASSERT_TRUE(touched.ok()) << touched.status().ToString();
+          runs.push_back({Ids(*included), *touched, state.StateRoot()});
+          ASSERT_TRUE(state.RevertTo(outer).ok());
+          EXPECT_EQ(state.SnapshotDepth(), 0u) << threads;
+          EXPECT_EQ(state.StateRoot(), pre_root) << threads;
+        }
+        for (size_t t = 1; t < runs.size(); ++t) {
+          EXPECT_EQ(runs[t].included, runs[0].included) << kThreadCounts[t];
+          EXPECT_EQ(runs[t].touched, runs[0].touched) << kThreadCounts[t];
+          EXPECT_EQ(runs[t].root, runs[0].root) << kThreadCounts[t];
+        }
+      }
+    }
   }
 }
 

@@ -123,8 +123,8 @@ constexpr const char* kDigestNames[] = {"Id", "SigningDigest", "Hash",
 // Consensus execution entry points (matched by last name component):
 // the readers whose field accesses define "read by execution" for
 // rule 4.
-constexpr const char* kExecutionRoots[] = {"ExecuteTransactions",
-                                           "ExecuteCandidatesParallel"};
+constexpr const char* kExecutionRoots[] = {"ExecuteTransaction",
+                                           "ExecuteCandidates"};
 
 // Nested expansion exempts single-field wrappers (Hash256, Address,
 // ProofNode): a record used as a field type must have at least this

@@ -41,6 +41,6 @@ uint64_t Voucher::SigningDigest() const {
 }
 
 // The execution root only reads signed members.
-uint64_t ExecuteTransactions(const Voucher& v) {
+uint64_t ExecuteTransaction(const Voucher& v) {
   return v.amount + v.SigningDigest();
 }

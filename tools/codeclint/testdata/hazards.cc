@@ -55,7 +55,7 @@ uint64_t Voucher::SigningDigest() const {
 }
 
 // Consensus execution root: reads the unsigned `flags` member.
-uint64_t ExecuteTransactions(const Voucher& v) {
+uint64_t ExecuteTransaction(const Voucher& v) {
   if (v.flags != 0) return 0;
   return v.SigningDigest();
 }

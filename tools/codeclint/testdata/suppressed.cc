@@ -50,7 +50,7 @@ uint64_t Voucher::SigningDigest() const {
   return amount * 1000003 + serial;
 }
 
-uint64_t ExecuteTransactions(const Voucher& v) {
+uint64_t ExecuteTransaction(const Voucher& v) {
   if (v.flags != 0) return 0;
   return v.SigningDigest();
 }
