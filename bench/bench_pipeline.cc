@@ -112,7 +112,7 @@ Workload MakeWorkload(size_t senders, uint64_t nonces, size_t block_txs) {
       tx.sender = sender;
       // Bounded recipient set: state size stays ~#senders accounts, so
       // per-block StateDB snapshots cost what they would on a real
-      // shard, and the backlog — not the account map — is the scale
+      // shard, and the backlog — not the account count — is the scale
       // knob.
       tx.recipient = BenchAddr(1'000'000 + (i % 64));
       tx.value = 1;

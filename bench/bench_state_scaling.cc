@@ -1,17 +1,25 @@
-// State-commitment scaling (DESIGN.md §10): cost of the incremental
-// authenticated state vs the pre-incremental baseline, by account
-// count, for the three hot operations the chain performs per block:
+// State-commitment scaling (DESIGN.md §10): cost of the persistent
+// account trie vs the pre-incremental baseline, by account count, for
+// the hot operations the chain performs per block:
 //
 //   root_update      — mutate a fixed number of accounts, re-derive the
 //                      state root. old: rebuild the whole trie with
-//                      fresh digests (O(n)); new: re-leaf only the
-//                      dirty accounts (O(dirty · depth)).
-//   snapshot_revert  — take a revert point, write, roll back. old:
-//                      full account-map copy out and back; new:
-//                      journaled undo log (O(writes)).
+//                      fresh digests (O(n)); new: re-hash only the
+//                      written paths (O(dirty · depth)).
+//   snapshot_revert  — take a revert point, write, roll back. old: copy
+//                      a std::map<Address, Account> of the accounts out
+//                      and back; new: save and restore a root (O(1)).
 //   block_build      — pack a 10-tx block on a funded state. old:
 //                      per-candidate StateDB copy + from-scratch root;
-//                      new: journaled trials + incremental root.
+//                      new: snapshot trials + incremental root.
+//   fork             — what a block pays to fork its parent's state, at
+//                      10k, 100k and 1M accounts. old: copy the account
+//                      map (what a StateDB copy cost before the trie held
+//                      the accounts); new: copy the StateDB, write one
+//                      account and derive the root. The row also records
+//                      resident bytes per account: the ru_maxrss growth
+//                      while the state is built, divided by the account
+//                      count.
 //
 // The bench is also a correctness gate: before any timing, every
 // scenario asserts the incremental root is byte-identical to the
@@ -21,10 +29,13 @@
 // Emits BENCH_state.json into the working directory for CI artifact
 // collection.
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -32,7 +43,6 @@
 #include "bench/emit_json.h"
 #include "chain/ledger.h"
 #include "state/statedb.h"
-#include "state/trie.h"
 #include "types/address.h"
 
 namespace shardchain {
@@ -41,6 +51,8 @@ namespace {
 using Clock = std::chrono::steady_clock;  // detlint:allow(wall-clock): bench timing
 
 const size_t kAccountCounts[] = {100, 1000, 10000};
+/// The fork scenario alone runs at 1M accounts, which keeps CI time small.
+const size_t kForkAccountCounts[] = {10000, 100000, 1000000};
 constexpr size_t kTouchedPerRoot = 64;  ///< Dirty accounts per root update.
 constexpr size_t kTouchedPerSnap = 16;  ///< Writes inside a snapshot span.
 constexpr double kMinSeconds = 0.2;
@@ -54,23 +66,32 @@ Address BenchAddr(uint64_t n) {
   return a;
 }
 
-Bytes AddressKey(const Address& addr) {
-  return Bytes(addr.bytes.begin(), addr.bytes.end());
+/// The pre-incremental StateRoot(): recompute every account's digest
+/// (the old code had no digest cache) and build a fresh StateDB from
+/// them. Byte-identical to StateDB::StateRoot() over the same contents —
+/// the identity gates below enforce exactly that.
+Hash256 RootFromScratch(const StateDB& db) {
+  StateDB fresh;
+  for (const Address& addr : db.Addresses()) {
+    Account& account = fresh.GetOrCreate(addr);
+    account = *db.Find(addr);
+    account.MarkDigestDirty();
+  }
+  return fresh.StateRoot();
 }
 
-/// The pre-incremental StateRoot(): walk every account, recompute its
-/// digest (the old code had no digest cache), and build a fresh trie.
-/// Byte-identical to StateDB::StateRoot() over the same contents — the
-/// identity gate below enforces exactly that.
-Hash256 RootFromScratch(const StateDB& db) {
-  MerklePatriciaTrie trie;
-  for (const Address& addr : db.Addresses()) {
-    const Account* account = db.Find(addr);
-    account->MarkDigestDirty();
-    const Hash256 digest = account->Digest(addr);
-    trie.Put(AddressKey(addr), Bytes(digest.bytes.begin(), digest.bytes.end()));
-  }
-  return trie.RootHash();
+/// The accounts as the plain map a StateDB copy used to duplicate.
+std::map<Address, Account> AccountMap(const StateDB& db) {
+  std::map<Address, Account> out;
+  for (const Address& addr : db.Addresses()) out.emplace(addr, *db.Find(addr));
+  return out;
+}
+
+/// Peak resident set so far, in bytes.
+int64_t PeakRssBytes() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<int64_t>(usage.ru_maxrss) * 1024;  // Linux: KiB.
 }
 
 StateDB FundedState(size_t accounts) {
@@ -104,19 +125,24 @@ struct ScenarioResult {
   double old_ops_per_sec = 0.0;
   double new_ops_per_sec = 0.0;
   double speedup = 0.0;
+  int64_t bytes_per_account = -1;  ///< fork rows only.
 };
 
 void Report(std::vector<ScenarioResult>* out, const std::string& scenario,
-            size_t accounts, double old_ops, double new_ops) {
+            size_t accounts, double old_ops, double new_ops,
+            int64_t bytes_per_account = -1) {
   ScenarioResult r;
   r.scenario = scenario;
   r.accounts = accounts;
   r.old_ops_per_sec = old_ops;
   r.new_ops_per_sec = new_ops;
   r.speedup = old_ops > 0.0 ? new_ops / old_ops : 0.0;
+  r.bytes_per_account = bytes_per_account;
   out->push_back(r);
   bench::Row({scenario, std::to_string(accounts), bench::Fmt(old_ops, 2),
-              bench::Fmt(new_ops, 2), bench::Fmt(r.speedup, 1) + "x"});
+              bench::Fmt(new_ops, 2), bench::Fmt(r.speedup, 1) + "x",
+              bytes_per_account >= 0 ? std::to_string(bytes_per_account)
+                                     : "-"});
 }
 
 [[noreturn]] void IdentityFailure(const char* scenario, size_t accounts) {
@@ -171,18 +197,12 @@ void BenchSnapshotRevert(size_t accounts, std::vector<ScenarioResult>* out) {
     }
   };
 
-  // Identity gate: both revert styles must land back on the base root.
+  // Identity gate: a revert must land back on the base root.
   {
     const size_t snap = db.Snapshot();
     touch(&db);
     if (!db.RevertTo(snap).ok() || db.StateRoot() != base_root) {
-      IdentityFailure("snapshot_revert(journal)", accounts);
-    }
-    StateDB backup = db;
-    touch(&db);
-    db = backup;
-    if (db.StateRoot() != base_root) {
-      IdentityFailure("snapshot_revert(copy)", accounts);
+      IdentityFailure("snapshot_revert", accounts);
     }
   }
 
@@ -192,11 +212,15 @@ void BenchSnapshotRevert(size_t accounts, std::vector<ScenarioResult>* out) {
     if (!db.RevertTo(snap).ok()) IdentityFailure("revert", accounts);
     return static_cast<uint64_t>(snap);
   });
+  std::map<Address, Account> plain = AccountMap(db);
   const double old_ops = MeasureOpsPerSec([&] {
-    StateDB backup = db;  // The pre-journal Snapshot(): copy everything.
-    touch(&db);
-    db = backup;          // ...and RevertTo(): copy it all back.
-    return static_cast<uint64_t>(backup.AccountCount());
+    // The pre-trie Snapshot(): copy every account out...
+    std::map<Address, Account> backup = plain;
+    for (size_t j = 0; j < kTouchedPerSnap; ++j) {
+      plain[BenchAddr(j * 11 % accounts)].balance += 3;
+    }
+    plain = backup;  // ...and RevertTo(): copy them all back.
+    return static_cast<uint64_t>(backup.size());
   });
   Report(out, "snapshot_revert", accounts, old_ops, new_ops);
 }
@@ -218,7 +242,7 @@ std::vector<Transaction> BlockTxs(size_t accounts) {
   return txs;
 }
 
-/// The pre-journal BuildBlock inner loop: every candidate transaction
+/// The pre-snapshot BuildBlock inner loop: every candidate transaction
 /// executes on a full copy of the scratch state, and the final root is
 /// a from-scratch rebuild.
 Hash256 OldStyleBuild(const Ledger& ledger, const Address& miner,
@@ -242,7 +266,7 @@ void BenchBlockBuild(size_t accounts, std::vector<ScenarioResult>* out) {
   const Address miner = BenchAddr(accounts - 1);
   const std::vector<Transaction> txs = BlockTxs(accounts);
 
-  // Identity gate: the journaled build must commit to the same root as
+  // Identity gate: the snapshot-trial build must commit to the same root as
   // the copy-everything build.
   Result<Block> built = ledger.BuildBlock(miner, txs, /*timestamp=*/1);
   if (!built.ok() || built->transactions.size() != txs.size() ||
@@ -258,6 +282,58 @@ void BenchBlockBuild(size_t accounts, std::vector<ScenarioResult>* out) {
   Report(out, "block_build", accounts, old_ops, new_ops);
 }
 
+// ----------------------------- fork ----------------------------------
+
+/// A funded state for one fork row, and the resident bytes per account
+/// its build added to the peak RSS.
+struct ForkBase {
+  size_t accounts = 0;
+  StateDB db;
+  int64_t bytes_per_account = 0;
+};
+
+ForkBase BuildForkBase(size_t accounts) {
+  ForkBase base;
+  base.accounts = accounts;
+  const int64_t rss_before = PeakRssBytes();
+  base.db = FundedState(accounts);
+  (void)base.db.StateRoot();
+  base.bytes_per_account =
+      (PeakRssBytes() - rss_before) / static_cast<int64_t>(accounts);
+  return base;
+}
+
+void BenchFork(const ForkBase& base, std::vector<ScenarioResult>* out) {
+  const size_t accounts = base.accounts;
+  const StateDB& db = base.db;
+  uint64_t cursor = 0;
+  auto fork_and_write = [&] {
+    StateDB fork = db;
+    fork.Mint(BenchAddr(cursor++ % accounts), 1);
+    return fork;
+  };
+
+  // Identity gate: a fork's incremental root equals the from-scratch
+  // rebuild of its contents, and forking never moves the base root.
+  const Hash256 base_root = db.StateRoot();
+  {
+    StateDB fork = fork_and_write();
+    if (fork.StateRoot() != RootFromScratch(fork) ||
+        db.StateRoot() != base_root) {
+      IdentityFailure("fork", accounts);
+    }
+  }
+
+  const double new_ops = MeasureOpsPerSec(
+      [&] { return fork_and_write().StateRoot().Prefix64(); });
+  const std::map<Address, Account> plain = AccountMap(db);
+  const double old_ops = MeasureOpsPerSec([&] {
+    std::map<Address, Account> copy = plain;
+    return static_cast<uint64_t>(copy.size());
+  });
+  Report(out, "fork", accounts, old_ops, new_ops, base.bytes_per_account);
+}
+
 }  // namespace
 }  // namespace shardchain
 
@@ -266,12 +342,26 @@ int main() {
 
   bench::Banner(
       "BENCH state scaling (DESIGN.md §10)",
-      "incremental authenticated state: root update O(dirty*depth) not "
-      "O(n); snapshots journaled not copied; roots byte-identical");
+      "persistent account trie: root update O(dirty*depth) not O(n); "
+      "snapshots and forks share the root, not copy the accounts; roots "
+      "byte-identical");
 
   std::vector<ScenarioResult> results;
+  const std::vector<std::string> header = {
+      "scenario", "accounts", "old/sec", "new/sec", "speedup", "bytes/acct"};
+  {
+    // Every fork base is built before anything else is allocated and
+    // stays alive, so each build's peak-RSS growth is its own footprint.
+    std::vector<ForkBase> bases;
+    for (const size_t accounts : kForkAccountCounts) {
+      bases.push_back(BuildForkBase(accounts));
+    }
+    bench::Row(header);
+    for (const ForkBase& base : bases) BenchFork(base, &results);
+    std::printf("\n");
+  }
   for (const size_t accounts : kAccountCounts) {
-    bench::Row({"scenario", "accounts", "old/sec", "new/sec", "speedup"});
+    bench::Row(header);
     BenchRootUpdate(accounts, &results);
     BenchSnapshotRevert(accounts, &results);
     BenchBlockBuild(accounts, &results);
@@ -295,6 +385,9 @@ int main() {
     row.Set("old_ops_per_sec", bench::Json::Num(r.old_ops_per_sec));
     row.Set("new_ops_per_sec", bench::Json::Num(r.new_ops_per_sec));
     row.Set("speedup", bench::Json::Num(r.speedup));
+    if (r.bytes_per_account >= 0) {
+      row.Set("bytes_per_account", bench::Json::Int(r.bytes_per_account));
+    }
     arr.Push(std::move(row));
   }
   doc.Set("results", std::move(arr));

@@ -19,7 +19,7 @@ namespace {
 /// independent.
 constexpr size_t kMaxChunksPerLane = 16;
 
-/// One executed candidate's contribution, extracted from the journal:
+/// One executed candidate's contribution, read off its snapshot bracket:
 /// absolute post-images of every written account (the account
 /// modification log) plus the fee credited to the miner as an additive
 /// delta. Replaying `mods` then minting `fee` in canonical candidate
@@ -58,15 +58,15 @@ Status ExecuteAndRecord(const Transaction& tx, const TxFootprint* fp,
       if (addr == miner) continue;
       if (!std::binary_search(fp->writes.begin(), fp->writes.end(), addr)) {
         return Status::Internal(
-            "execution journal escaped the derived footprint: account " +
+            "execution write set escaped the derived footprint: account " +
             addr.ToHex());
       }
     }
     const Account* post = state->Find(addr);
     if (post == nullptr) {
-      // Execution never erases accounts, so every journaled address
+      // Execution never erases accounts, so every written address
       // must have a live post-image.
-      return Status::Internal("journaled account lost its post-image");
+      return Status::Internal("written account lost its post-image");
     }
     eff->mods.emplace_back(addr, *post);
   }
@@ -196,10 +196,10 @@ Result<std::vector<Transaction>> ExecuteCandidates(
   std::vector<Transaction> included;
   if (pool == nullptr || pool->thread_count() <= 1 ||
       ThreadPool::InParallelRegion()) {
-    // Serial greedy loop. Each candidate runs against a journaled
+    // Serial greedy loop. Each candidate runs against a saved-root
     // revert point — committed if it executes, rolled back if not — so
-    // trying a transaction costs O(accounts it touches), not a copy of
-    // the whole state.
+    // trying a transaction costs O(accounts it touches · depth), not a
+    // copy of the whole state.
     for (Transaction& tx : candidates) {
       if (included.size() >= cap) break;
       const size_t trial = state->Snapshot();
@@ -240,9 +240,9 @@ Result<std::vector<Transaction>> ExecuteCandidates(
       continue;
     }
 
-    // Flush pending writes into the shared trie once, serially, so the
-    // concurrent per-chunk forks below copy a fully-hashed structure
-    // (pure reads on the shared nodes; DESIGN.md §10).
+    // Hash the merged state once, serially, so the concurrent per-chunk
+    // forks below share only hashed nodes and never write them
+    // (DESIGN.md §10).
     (void)state->StateRoot();
     const size_t grain = (m + kMaxChunksPerLane - 1) / kMaxChunksPerLane;
     std::vector<Status> chunk_status(NumChunks(m, grain), Status::OK());
@@ -251,12 +251,11 @@ Result<std::vector<Transaction>> ExecuteCandidates(
         pool, m, grain,
         [&candidates, &lane, &miner, &config, &base, &footprints, &effects,
          &chunk_status](size_t begin, size_t end, size_t c) {
-          // A chunk-private fork of the lane base. The trie is shared,
-          // but the account map (and the open journal) copies, so a
-          // fork costs O(accounts) (ROADMAP item 2). Each trial reverts,
-          // so every candidate in the chunk sees exactly the lane base,
-          // never its chunk neighbours, and the shared base stays
-          // read-only inside the region (§9 rule 2).
+          // A chunk-private O(1) fork of the lane base: it shares the
+          // base's nodes and clones the ones it writes. Each trial
+          // reverts, so every candidate in the chunk sees exactly the
+          // lane base, never its chunk neighbours, and the shared base
+          // stays read-only inside the region (§9 rule 2).
           StateDB fork = base;
           for (size_t k = begin; k < end && chunk_status[c].ok(); ++k) {
             const uint32_t idx = lane[k];

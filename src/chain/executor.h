@@ -90,9 +90,9 @@ LaneSchedule ScheduleLanes(const std::vector<TxFootprint>& footprints);
 /// bracket this opens on `*state` is closed again, so it composes with
 /// a snapshot the caller holds open around the call.
 ///
-/// Fails only on internal invariant violations (a journal entry outside
-/// the derived footprint, a snapshot bracket error) — a candidate that
-/// fails to execute is simply left out.
+/// Fails only on internal invariant violations (a written account
+/// outside the derived footprint, a snapshot bracket error) — a
+/// candidate that fails to execute is simply left out.
 [[nodiscard]] Result<std::vector<Transaction>> ExecuteCandidates(
     std::vector<Transaction> candidates, const Address& miner,
     const ChainConfig& config, ThreadPool* pool, StateDB* state);

@@ -79,8 +79,9 @@ class Ledger {
   /// block executor (chain/executor.h): each one that executes is kept,
   /// in order, up to max_txs_per_block, mirroring a miner dropping
   /// invalid txs while packing. Does not append. Fails only on internal
-  /// invariant violations (snapshot bracket errors, a journal escaping
-  /// its derived footprint) — never on individual invalid candidates.
+  /// invariant violations (snapshot bracket errors, a write set
+  /// escaping its derived footprint) — never on individual invalid
+  /// candidates.
   ///
   /// With SetExecPool, non-conflicting candidates execute concurrently
   /// on conflict-graph lanes — the block bytes, inclusion decisions,

@@ -29,14 +29,11 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
   const ChainConfig& config = ledger_->config();
 
   // Stage-local states. exec_state is the selector/executor's working
-  // copy; commit_state is the worker's shadow replica. Both copies
-  // flush the tip's dirty set once, up front, then share its trie.
-  // Serial digests (no thread pool): the §9 pool is fork-join with a
-  // single caller, so the worker must not share it with the producer.
+  // copy; commit_state is the worker's shadow replica. Both are O(1)
+  // forks of the tip: the first copy hashes it, both share its nodes,
+  // and each clones what it writes.
   StateDB exec_state = ledger_->tip_state();
   StateDB commit_state = ledger_->tip_state();
-  exec_state.SetThreadPool(nullptr);
-  commit_state.SetThreadPool(nullptr);
 
   // Written only by the commit worker after initialization; read by the
   // producer only after WaitIdle (the worker's mutex orders both).
@@ -60,18 +57,23 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
       exec_state.Mint(miner, config.block_reward);
 
       // Value-snapshot this block's account delta for the worker
-      // (reverted trial writes have left the journal, so TouchedSince
-      // is exactly the surviving write set).
+      // (reverted trials restored their roots, so TouchedSince is
+      // exactly the surviving write set). The worker replays values,
+      // not shared nodes: hashing a version the producer also reads
+      // would write hash caches on nodes the producer clones.
       std::vector<Address> touched;
       SHARDCHAIN_ASSIGN_OR_RETURN(touched, exec_state.TouchedSince(outer));
       SHARDCHAIN_RETURN_IF_ERROR(exec_state.Commit(outer));
       std::vector<std::pair<Address, Account>> delta;
       delta.reserve(touched.size());
       for (const Address& addr : touched) {
+        // Null would mean the account was erased since the outer
+        // snapshot, which execution never does.
         const Account* account = exec_state.Find(addr);
-        // Null only for a create that was fully reverted; execution
-        // never erases pre-existing accounts, so skipping is exact.
-        if (account != nullptr) delta.emplace_back(addr, *account);
+        if (account == nullptr) {
+          return Status::Internal("touched account erased during execution");
+        }
+        delta.emplace_back(addr, *account);
       }
       pool_->RemoveAll(included);
 
@@ -99,9 +101,8 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
         block.header.tx_root = block.ComputeTxRoot();
         block.header.state_root = commit->StateRoot();
         *prev = block.header.Hash();
-        // StateRoot just flushed the dirty set, so this copy shares the
-        // trie; only the plain account map is duplicated — the same
-        // per-block cost Append's post-state tracking already pays.
+        // StateRoot just hashed commit_state, so this O(1) copy shares
+        // its nodes; the next block's writes clone what they touch.
         StateDB post = *commit;
         out->push_back(Prepared{std::move(block), std::move(post)});
       });

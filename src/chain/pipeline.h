@@ -42,15 +42,15 @@ struct PipelineResult {
 ///    delta (TouchedSince);
 ///  - an AsyncWorker (parallel/async_worker.h) replays each delta onto
 ///    a shadow commit state, derives the state root, finalizes the
-///    header (parent hash chaining is worker-local, FIFO), and copies
-///    the post-state for the ledger node.
+///    header (parent hash chaining is worker-local, FIFO), and keeps an
+///    O(1) copy of the post-state for the ledger node.
 ///
 /// Determinism argument (§14): selection/execution for block N+1 reads
 /// only the execution state and the pool — never the in-flight root —
 /// and the execution state's account contents after block N equal the
 /// serial path's tip post-state contents by induction (same greedy
 /// code, same inputs). The commit worker replays exactly the accounts
-/// the journal recorded, so the shadow state's contents — and therefore
+/// TouchedSince reported, so the shadow state's contents — and therefore
 /// the root, a pure function of contents (DESIGN.md §10) — match the
 /// serial path's. The worker is a single FIFO thread, so header
 /// chaining and append order are the submission order. Hence blocks are

@@ -34,9 +34,16 @@ Result<StateDB> Deserialize(const Bytes& wire, const Hash256& expected_root) {
   if (count > wire.size() / 52) {
     return Status::Corruption("account count exceeds snapshot size");
   }
+  // The wire is canonical: addresses and storage keys strictly
+  // ascending, so one state has exactly one snapshot.
+  Address prev_addr;
   for (uint64_t i = 0; i < count; ++i) {
     Address addr;
     SHARDCHAIN_ASSIGN_OR_RETURN(addr, reader.ReadAddress());
+    if (i > 0 && !(prev_addr < addr)) {
+      return Status::Corruption("snapshot addresses not strictly ascending");
+    }
+    prev_addr = addr;
     Account& account = state.GetOrCreate(addr);
     SHARDCHAIN_ASSIGN_OR_RETURN(account.balance, reader.ReadU64());
     SHARDCHAIN_ASSIGN_OR_RETURN(account.nonce, reader.ReadU64());
@@ -57,7 +64,11 @@ Result<StateDB> Deserialize(const Bytes& wire, const Hash256& expected_root) {
       uint64_t value = 0;
       SHARDCHAIN_ASSIGN_OR_RETURN(key, reader.ReadU64());
       SHARDCHAIN_ASSIGN_OR_RETURN(value, reader.ReadU64());
-      account.storage[key] = static_cast<int64_t>(value);
+      if (s > 0 && key <= account.storage.rbegin()->first) {
+        return Status::Corruption("storage keys not strictly ascending");
+      }
+      account.storage.emplace_hint(account.storage.end(), key,
+                                   static_cast<int64_t>(value));
     }
   }
   if (!reader.AtEnd()) {

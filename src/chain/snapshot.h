@@ -25,7 +25,9 @@ Bytes Serialize(const StateDB& state);
 
 /// Parses a snapshot and verifies its StateRoot against
 /// `expected_root` (pass Hash256::Zero() to skip verification).
-/// Corrupted or tampered snapshots are rejected.
+/// Corrupted or tampered snapshots are rejected, and so are
+/// non-canonical ones: addresses and storage keys must be strictly
+/// ascending, as Serialize writes them.
 [[nodiscard]] Result<StateDB> Deserialize(const Bytes& wire,
                                           const Hash256& expected_root);
 

@@ -118,8 +118,8 @@ Result<std::vector<int64_t>> Vm::DecodeArgs(const Bytes& payload) {
 Result<ExecReceipt> Vm::Execute(const ContractProgram& program,
                                 const CallContext& ctx, StateDB* state) {
   assert(state != nullptr);
-  // Journaled revert point: O(1) to take, O(touched accounts) to roll
-  // back — no full-state copy either way.
+  // Saved-root revert point: O(1) to take and to roll back — no
+  // full-state copy either way.
   const size_t snapshot = state->Snapshot();
   // Abort helper: rolls the state back and surfaces the error.
   auto fail = [&](Status st) -> Result<ExecReceipt> {

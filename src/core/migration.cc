@@ -136,7 +136,7 @@ Bytes EncodeHandoffRecord(const HandoffRecord& record) {
              record.source_root.bytes.end());
   AppendLengthPrefixed(&out, EncodeAccountState(record.account));
   AppendUint64(&out, record.proof.size());
-  for (const MerklePatriciaTrie::ProofNode& node : record.proof) {
+  for (const mpt::ProofNode& node : record.proof) {
     AppendLengthPrefixed(&out, node.encoded);
   }
   return out;
@@ -158,7 +158,7 @@ Result<HandoffRecord> DecodeHandoffRecord(const Bytes& data) {
   SHARDCHAIN_ASSIGN_OR_RETURN(nodes, ReadCount(&r, 8));
   record.proof.reserve(nodes);
   for (size_t i = 0; i < nodes; ++i) {
-    MerklePatriciaTrie::ProofNode node;
+    mpt::ProofNode node;
     SHARDCHAIN_ASSIGN_OR_RETURN(node.encoded, ReadLengthPrefixed(&r));
     record.proof.push_back(std::move(node));
   }

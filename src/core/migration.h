@@ -26,7 +26,7 @@ struct HandoffRecord {
   /// The migrating account's full contents.
   Account account;
   /// Proof that Digest(account) is addr's leaf under `source_root`.
-  MerklePatriciaTrie::Proof proof;
+  mpt::Proof proof;
 };
 
 /// \brief All handoffs of one epoch in canonical order — the unit the
@@ -45,7 +45,7 @@ Result<HandoffRecord> BuildHandoff(const StateDB& source_state, ShardId source,
 /// Verifies a handoff: recomputes the carried account's digest from its
 /// contents (ignoring any cached digest) and checks the trie proof pins
 /// exactly that digest for `addr` under `source_root` via
-/// MerklePatriciaTrie::VerifyProof. Unauthorized on any mismatch.
+/// mpt::VerifyProof. Unauthorized on any mismatch.
 Status VerifyHandoff(const HandoffRecord& record);
 
 /// Canonical plan order: (source, dest, addr) ascending. Applied before

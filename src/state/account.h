@@ -26,8 +26,9 @@ struct Account {
 
   /// Deterministic digest of the account contents (state-root leaf).
   ///
-  /// The result is cached under a dirty flag so StateDB's incremental
-  /// StateRoot() never re-hashes untouched accounts (DESIGN.md §10).
+  /// The result is cached under a validity flag so StateDB's
+  /// incremental StateRoot() never re-hashes untouched accounts; the
+  /// trie derives each leaf's hash from it (DESIGN.md §10).
   /// Cache invariant: every mutable access to an account held by a
   /// StateDB goes through StateDB::GetOrCreate, which calls
   /// MarkDigestDirty() before handing out the reference; the cache is

@@ -2,9 +2,8 @@
 #define SHARDCHAIN_STATE_STATEDB_H_
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "common/result.h"
@@ -16,35 +15,40 @@
 
 namespace shardchain {
 
-class ThreadPool;
-
-/// \brief The world state: a map from address to account, with
-/// journaled snapshot/revert support and an incrementally maintained
-/// Merkle state-root commitment.
+/// \brief The world state: one persistent Merkle Patricia trie keyed by
+/// address whose leaves hold the accounts (DESIGN.md §10).
 ///
 /// In the sharded system each shard's miners hold a StateDB restricted
 /// to their shard's accounts; MaxShard miners hold the full state
-/// (Sec. III-A). Copyable so the simulator can fork per-miner views —
-/// the copy shares the authenticated trie structurally (O(1) for the
-/// trie, O(n) only for the plain account map).
+/// (Sec. III-A).
 ///
-/// Incremental commitment (DESIGN.md §10): a live copy-on-write trie
-/// mirrors the account map. Mutations only mark accounts dirty;
-/// StateRoot() recomputes the digests of the dirty accounts (in
-/// parallel when a thread pool is installed, under the §9 determinism
-/// contract — SHA-256 digests are bit-exact at any thread count) and
-/// re-inserts just those leaves, so its cost is O(dirty · depth)
-/// instead of a full rebuild. The resulting root is byte-identical to
-/// a from-scratch rebuild over the same contents, whatever the
-/// mutation/snapshot history (pinned by the differential tests and the
-/// tests/vectors/state*.hex golden vectors).
+/// Versions share structure. Nodes are reference-counted, and a write
+/// walks down from the root cloning every node another version can
+/// reach before it changes it, so no node reachable from a copy or a
+/// snapshot is ever written:
+///   - copying a StateDB is O(1): the copy shares the root;
+///   - Snapshot/RevertTo/Commit save, restore and drop a root;
+///   - a write copies O(depth) shared nodes, and StateRoot() re-hashes
+///     only the nodes written since the last call;
+///   - TouchedSince diffs two roots, skipping the subtrees they share.
+/// The root is a pure function of the contents: byte-identical to a
+/// from-scratch build of the same accounts, whatever the history
+/// (pinned by tests/vectors/state*.hex and the differential tests).
+///
+/// References: a reference from GetOrCreate or Find stays valid across
+/// writes to other accounts. It does not survive Snapshot, RevertTo,
+/// copying or assigning the StateDB, or EraseAccount of that account;
+/// a write through a stale GetOrCreate reference would reach a shared
+/// version.
 class StateDB {
  public:
   StateDB() = default;
-  /// Copies flush the source's dirty set first, so the shared trie
-  /// nodes are fully hashed before sharing (no writes after sharing;
-  /// see MerklePatriciaTrie) and the digest work is not repeated per
-  /// fork.
+  /// Hashes the source first, so its nodes are never written after
+  /// they are shared (copies may then be read and written from
+  /// different threads), then shares its root. The copy starts with no
+  /// live snapshots. Several threads may copy one StateDB at once only
+  /// after StateRoot() has hashed it: the copy's hashing then only
+  /// reads.
   StateDB(const StateDB& other);
   StateDB& operator=(const StateDB& other);
   StateDB(StateDB&&) = default;
@@ -57,8 +61,8 @@ class StateDB {
   bool IsContract(const Address& addr) const;
 
   /// Mutable access, creating the account if absent. The sole mutation
-  /// choke point: marks the account dirty for the incremental root and
-  /// records an undo entry when a snapshot is outstanding.
+  /// choke point: it makes the account's leaf and the nodes above it
+  /// private to this version and invalidates their cached hashes.
   Account& GetOrCreate(const Address& addr);
 
   /// Credits `amount` to `addr` (minting; used for genesis funding and
@@ -78,95 +82,70 @@ class StateDB {
   void StorageSet(const Address& addr, uint64_t key, int64_t value);
 
   /// Removes `addr` entirely (cross-shard migration: the account's
-  /// authoritative home moved away). Journaled like any write; the trie
-  /// leaf is deleted at the next flush. Returns false when absent.
+  /// authoritative home moved away). Returns false when absent.
   bool EraseAccount(const Address& addr);
 
-  /// Marks a revert point; RevertTo restores it. O(1): no state is
-  /// copied — subsequent writes record undo entries (touched accounts
-  /// only) in a journal. Snapshot ids are monotonically increasing and
-  /// invalidated by RevertTo to an earlier snapshot.
+  /// Saves the current root as a revert point. O(1). Snapshot ids are
+  /// monotonically increasing and invalidated by RevertTo to an earlier
+  /// snapshot.
   size_t Snapshot();
 
-  /// Rolls back every write made since `snapshot_id` was taken and
-  /// invalidates it along with all later snapshots. O(writes since).
+  /// Restores the root saved by `snapshot_id` and invalidates it along
+  /// with all later snapshots. O(1).
   Status RevertTo(size_t snapshot_id);
 
-  /// Discards the innermost snapshot, keeping its writes. The matching
-  /// undo entries fold into the enclosing snapshot's span (or are
-  /// dropped when none is outstanding). Fails unless `snapshot_id` is
-  /// the most recent live snapshot.
+  /// Discards the innermost snapshot, keeping its writes. Fails unless
+  /// `snapshot_id` is the most recent live snapshot.
   Status Commit(size_t snapshot_id);
 
   /// Outstanding (live) snapshot count — 0 when no revert point exists.
-  size_t SnapshotDepth() const { return marks_.size(); }
+  size_t SnapshotDepth() const { return snapshots_.size(); }
 
-  /// Addresses written (created, mutated, or erased) since `snapshot_id`
-  /// was taken, sorted and deduplicated — the account modification log
-  /// of that journal span. Reads are never journaled, so this is exactly
-  /// the write set. Fails when the snapshot is not live.
+  /// Addresses whose account was written, created or erased since
+  /// `snapshot_id` was taken, sorted: the accounts that differ between
+  /// the saved root and the current one, by leaf identity. Reads never
+  /// count, so this is exactly the write set; an account created and
+  /// then erased inside the span is absent from both roots and is not
+  /// reported. Fails when the snapshot is not live.
   Result<std::vector<Address>> TouchedSince(size_t snapshot_id) const;
 
   /// Overwrites `addr` with `account` wholesale (creating it if absent).
-  /// The merge-commit primitive for replaying account modification logs:
-  /// journaled and dirty-marked like any write.
+  /// The merge-commit primitive for replaying account modification logs.
   void ApplyAccount(const Address& addr, const Account& account);
-
-  /// Installs a thread pool used to recompute dirty account digests in
-  /// batch (nullptr = serial). Never consensus-visible: digests are
-  /// bit-exact at any thread count (DESIGN.md §9).
-  void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
 
   /// Authenticated commitment over all accounts: the root of a Merkle
   /// Patricia trie keyed by address, with account digests as values.
-  /// O(dirty · depth) since the previous call.
+  /// Hashes only the nodes written since the previous call.
   Hash256 StateRoot() const;
 
   /// Merkle Patricia proof that `addr` has the returned digest under
   /// the current StateRoot (or is absent). Verify with VerifyAccount.
-  MerklePatriciaTrie::Proof ProveAccount(const Address& addr) const;
+  mpt::Proof ProveAccount(const Address& addr) const;
 
   /// Verifies an account proof against a state root. Returns the
   /// proven account digest, or nullopt if the account is proven absent.
   static Result<std::optional<Hash256>> VerifyAccount(
-      const Hash256& state_root, const Address& addr,
-      const MerklePatriciaTrie::Proof& proof);
+      const Hash256& state_root, const Address& addr, const mpt::Proof& proof);
 
-  size_t AccountCount() const { return accounts_.size(); }
+  size_t AccountCount() const { return live_.accounts; }
 
   /// All addresses in deterministic (sorted) order.
   std::vector<Address> Addresses() const;
 
  private:
-  /// One undo record: the account's full prior contents, or nullopt
-  /// when the write created it (revert then erases). Replayed in
-  /// reverse order, so repeated touches of one address in a span are
-  /// harmless — the oldest entry is applied last and wins.
-  struct UndoEntry {
-    Address addr;
-    std::optional<Account> prior;
+  struct Node;  // A leaf, extension or branch (statedb.cc).
+  struct Trie;  // The node algorithms (statedb.cc).
+  using NodePtr = std::shared_ptr<Node>;
+
+  /// One version of the state: a root and its account count.
+  struct Version {
+    NodePtr root;
+    size_t accounts = 0;
   };
 
-  /// Folds the dirty set into the live trie: batch-recomputes digests
-  /// of surviving dirty accounts, Put/Delete's exactly those leaves,
-  /// and warms the trie's hash cache. Logically const (cache
-  /// maintenance); cheap when nothing is dirty.
-  void FlushDirty() const;
-
-  std::map<Address, Account> accounts_;
-
-  /// Live authenticated mirror of accounts_, lagged by dirty_.
-  mutable MerklePatriciaTrie trie_;
-  /// Accounts whose trie leaf / digest cache is stale. std::set so the
-  /// flush walks addresses in deterministic sorted order.
-  mutable std::set<Address> dirty_;
-
-  /// Undo log of writes made while at least one snapshot is live, plus
-  /// the journal length at each Snapshot() call.
-  std::vector<UndoEntry> journal_;
-  std::vector<size_t> marks_;
-
-  ThreadPool* pool_ = nullptr;
+  Version live_;
+  /// Saved versions, one per live snapshot.
+  std::vector<Version> snapshots_;
 };
 
 }  // namespace shardchain

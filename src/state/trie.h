@@ -3,9 +3,8 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "common/hex.h"
@@ -14,144 +13,46 @@
 
 namespace shardchain {
 
-/// \brief A persistent Merkle Patricia-style radix trie over hex
-/// nibbles with structural sharing.
+/// \brief Node encoding and proof verification of the Merkle Patricia
+/// trie that commits the account state (DESIGN.md §10).
 ///
-/// The authenticated key-value store behind account state, in the
-/// spirit of Ethereum's state trie: every node's hash commits to its
-/// subtree, the root hash commits to the whole mapping, and compact
-/// Merkle proofs authenticate single entries (including proofs of
-/// absence). Three node kinds, as in Ethereum:
-///   - leaf: remaining key nibbles + value;
-///   - extension: shared nibble run + one child;
-///   - branch: 16 children + optional value at this exact key.
-///
-/// Nodes are held by `std::shared_ptr` and treated as immutable once
-/// reachable from more than one trie: `Put`/`Delete` copy only the
-/// O(depth) spine from the root to the touched key and share every
-/// untouched subtree with the pre-mutation version (copy-on-write).
-/// Consequences, relied on by StateDB (DESIGN.md §10):
-///   - copying a trie is O(1) — the copy shares the whole node graph;
-///   - cached subtree hashes on shared, untouched nodes stay valid, so
-///     RootHash() after k mutations re-hashes only the O(k·depth)
-///     fresh spine nodes;
-///   - the root hash is a pure function of the key-value contents —
-///     byte-identical to a rebuild-from-scratch trie holding the same
-///     entries, whatever the mutation history.
-///
-/// The copy constructor warms the source's hash cache (RootHash) before
-/// sharing, so shared nodes are never written afterwards — hashing two
-/// copies from different threads is then data-race-free.
-///
-/// Keys are arbitrary byte strings (internally nibble-expanded);
-/// values are byte strings. The empty trie hashes to Hash256::Zero().
-class MerklePatriciaTrie {
- public:
-  MerklePatriciaTrie() = default;
-  MerklePatriciaTrie(const MerklePatriciaTrie& other);
-  MerklePatriciaTrie& operator=(const MerklePatriciaTrie& other);
-  MerklePatriciaTrie(MerklePatriciaTrie&&) = default;
-  MerklePatriciaTrie& operator=(MerklePatriciaTrie&&) = default;
+/// The trie is radix-16 over key nibbles, high nibble first. Each node
+/// hashes to SHA-256 of its encoding, whose first byte is its kind:
+///   - leaf (0): remaining key nibbles + value;
+///   - extension (1): shared nibble run + the child's hash;
+///   - branch (2): 16 child hashes (zero = empty slot) + a value flag
+///     and length-prefixed value stored at this exact key.
+/// The empty trie hashes to Hash256::Zero(). StateDB is the one trie
+/// built on this encoding (20-byte address keys, 32-byte account digest
+/// values); tests/vectors/state*.hex pin its bytes, and a proof built
+/// by StateDB::ProveAccount verifies here without access to the state.
+/// VerifyProof reads the whole encoding, branch values included, so it
+/// also checks proofs of tries with keys of different lengths.
+namespace mpt {
 
-  /// Inserts or overwrites `key` with `value`. O(depth) node copies;
-  /// subtrees off the key path are shared, not cloned.
-  void Put(const Bytes& key, Bytes value);
-
-  /// The stored value, or nullopt.
-  std::optional<Bytes> Get(const Bytes& key) const;
-
-  /// Removes `key`; returns true if it was present. O(depth) copies.
-  bool Delete(const Bytes& key);
-
-  bool Contains(const Bytes& key) const { return Get(key).has_value(); }
-
-  /// Number of stored entries.
-  size_t Size() const { return size_; }
-  bool Empty() const { return size_ == 0; }
-
-  /// Root commitment. O(dirty spine) — hashes are cached per node and
-  /// only nodes created since the last RootHash() are re-hashed.
-  Hash256 RootHash() const;
-
-  /// All (key, value) pairs in lexicographic key order.
-  std::vector<std::pair<Bytes, Bytes>> Entries() const;
-
-  // --- Authenticated reads -------------------------------------------
-
-  /// \brief A proof node: the serialized bytes of one trie node on the
-  /// path from the root to the key.
-  struct ProofNode {
-    Bytes encoded;
-  };
-  using Proof = std::vector<ProofNode>;
-
-  /// Builds a Merkle proof for `key` (works for absent keys too: the
-  /// proof then shows the divergence point).
-  Proof Prove(const Bytes& key) const;
-
-  /// Verifies a proof against a root hash. Returns the proven value
-  /// (nullopt = proven absent), or an error if the proof is invalid or
-  /// does not match the root.
-  static Result<std::optional<Bytes>> VerifyProof(const Hash256& root,
-                                                  const Bytes& key,
-                                                  const Proof& proof);
-
- private:
-  struct Node;
-  using NodePtr = std::shared_ptr<Node>;
-
-  struct Node {
-    enum class Kind : uint8_t { kLeaf, kExtension, kBranch };
-    Kind kind = Kind::kLeaf;
-
-    // kLeaf: path = remaining nibbles, value set.
-    // kExtension: path = shared nibbles, children[0] used as the child.
-    // kBranch: children[0..15], optional value.
-    std::vector<uint8_t> path;
-    Bytes value;
-    bool has_value = false;
-    std::array<NodePtr, 16> children;
-
-    // Cached subtree hash; invalid when the node was created by a
-    // mutation and not yet hashed. Shared nodes are only ever read
-    // once their cache is warm (see the class comment).
-    mutable Hash256 cached_hash;
-    mutable bool hash_valid = false;
-  };
-
-  /// Fresh node copying `src`'s fields but *sharing* its children —
-  /// the COW spine-copy primitive. The copy starts hash-invalid.
-  static NodePtr ShallowCopy(const Node& src);
-
-  static std::vector<uint8_t> ToNibbles(const Bytes& key);
-  static Bytes Serialize(const Node& node);
-  static Hash256 HashOf(const Node& node);
-  /// Functional insert: returns the root of a new version whose spine
-  /// nodes are fresh and whose off-path subtrees are shared with
-  /// `node`. Sets *added when the key was not previously present.
-  static NodePtr Insert(const NodePtr& node,
-                        const std::vector<uint8_t>& nibbles, size_t depth,
-                        Bytes value, bool* added);
-  static const Node* Find(const Node* node,
-                          const std::vector<uint8_t>& nibbles, size_t depth);
-  /// Functional delete; returns the (possibly shared, unchanged) new
-  /// version root. Sets *removed when the key was present.
-  static NodePtr Remove(const NodePtr& node,
-                        const std::vector<uint8_t>& nibbles, size_t depth,
-                        bool* removed);
-  /// Collapses single-child branches / chained extensions after delete.
-  /// `node` must be freshly created (unshared); children may be shared.
-  static NodePtr Normalize(NodePtr node);
-  static void CollectEntries(const Node* node, std::vector<uint8_t>* prefix,
-                             std::vector<std::pair<Bytes, Bytes>>* out);
-  static void CollectProof(const Node* node,
-                           const std::vector<uint8_t>& nibbles, size_t depth,
-                           Proof* proof);
-
-  NodePtr root_;
-  size_t size_ = 0;
+/// One node of a proof: the encoding of a node on the path from the
+/// root towards the key.
+struct ProofNode {
+  Bytes encoded;
 };
+using Proof = std::vector<ProofNode>;
 
+/// The node encodings. Named Serialize*, not Encode*: these are trie
+/// nodes, not records with a codec.
+Bytes SerializeLeaf(std::span<const uint8_t> path,
+                    std::span<const uint8_t> value);
+Bytes SerializeExtension(std::span<const uint8_t> path, const Hash256& child);
+/// Encodes an empty value (flag 0, length 0): keys of one length, as in
+/// the account trie, never store a value in a branch.
+Bytes SerializeBranch(const std::array<Hash256, 16>& children);
+
+/// Verifies a proof against a root hash. Returns the proven value
+/// (nullopt = proven absent), or an error if the proof is invalid or
+/// does not match the root.
+Result<std::optional<Bytes>> VerifyProof(const Hash256& root, const Bytes& key,
+                                         const Proof& proof);
+
+}  // namespace mpt
 }  // namespace shardchain
 
 #endif  // SHARDCHAIN_STATE_TRIE_H_

@@ -359,7 +359,7 @@ TEST(LedgerTest, ImportAccountInvalidatesBuildCache) {
 }
 
 TEST(LedgerTest, BuildBlockRevertsFailingCandidateMidStream) {
-  // A candidate that fails after journaling writes (fee charged, value
+  // A candidate that fails after making writes (fee charged, value
   // moved, then the VM rejects the call to a codeless address) forces
   // the RevertTo path inside BuildBlock; the block must come out
   // byte-identical to one built without the failing candidate.

@@ -504,7 +504,7 @@ TEST(ParallelExecEquivalence, InPlaceUnderCallerSnapshot) {
   // The pipeline's calling pattern: the executor runs on a state the
   // caller already holds a snapshot on. Every branch must close the
   // brackets it opens — including the lanes branch's overflow rollback
-  // (cap 5) — leave the same journal span as the serial loop, and stay
+  // (cap 5) — leave the same TouchedSince span as the serial loop, and stay
   // revertible by the caller.
   const Address miner = Addr(0x99);
   for (const int kind : {0, 3}) {

@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "chain/snapshot.h"
@@ -86,6 +90,58 @@ TEST(SnapshotTest, GarbageNeverCrashes) {
     (void)snapshot::Deserialize(junk, Hash256::Zero());
   }
   SUCCEED();
+}
+
+/// The snapshot wire of `addrs`, read from `state`, in the given order;
+/// `reverse_storage` writes each account's storage keys descending.
+/// Canonical when `addrs` ascends without repeats and storage is not
+/// reversed.
+Bytes WireFor(const StateDB& state, const std::vector<Address>& addrs,
+              bool reverse_storage) {
+  Bytes out;
+  AppendUint64(&out, addrs.size());
+  for (const Address& addr : addrs) {
+    const Account* account = state.Find(addr);
+    out.insert(out.end(), addr.bytes.begin(), addr.bytes.end());
+    AppendUint64(&out, account->balance);
+    AppendUint64(&out, account->nonce);
+    AppendUint64(&out, account->code.size());
+    out.insert(out.end(), account->code.begin(), account->code.end());
+    std::vector<std::pair<uint64_t, int64_t>> slots(account->storage.begin(),
+                                                    account->storage.end());
+    if (reverse_storage) std::reverse(slots.begin(), slots.end());
+    AppendUint64(&out, slots.size());
+    for (const auto& [key, value] : slots) {
+      AppendUint64(&out, key);
+      AppendUint64(&out, static_cast<uint64_t>(value));
+    }
+  }
+  return out;
+}
+
+TEST(SnapshotTest, NonCanonicalOrderRejected) {
+  // Each wire below decodes to the same accounts as the canonical one,
+  // so only the order check can reject it: the root still matches.
+  const StateDB state = RichState();
+  const Hash256 root = state.StateRoot();
+  const std::vector<Address> addrs = state.Addresses();
+  ASSERT_EQ(WireFor(state, addrs, false), snapshot::Serialize(state));
+  ASSERT_TRUE(snapshot::Deserialize(WireFor(state, addrs, false), root).ok());
+
+  std::vector<Address> reversed(addrs.rbegin(), addrs.rend());
+  EXPECT_TRUE(snapshot::Deserialize(WireFor(state, reversed, false), root)
+                  .status()
+                  .IsCorruption());
+
+  std::vector<Address> duplicated = addrs;
+  duplicated.insert(duplicated.begin() + 1, addrs[1]);
+  EXPECT_TRUE(snapshot::Deserialize(WireFor(state, duplicated, false), root)
+                  .status()
+                  .IsCorruption());
+
+  EXPECT_TRUE(snapshot::Deserialize(WireFor(state, addrs, true), root)
+                  .status()
+                  .IsCorruption());
 }
 
 TEST(SnapshotTest, SizeMatchesSerialization) {

@@ -1,23 +1,26 @@
-// Randomized differential tests for the incremental authenticated
-// state layer (DESIGN.md §10).
+// Randomized differential tests for the authenticated state layer
+// (DESIGN.md §10).
 //
-// The copy-on-write MerklePatriciaTrie and the journaled StateDB are
-// driven through long seeded Put/Delete/Snapshot/Revert/Commit
-// sequences against deliberately naive reference models:
+// StateDB (one persistent account trie with saved-root snapshots) and
+// the test-only ReferenceTrie (tests/reference_trie.h) are driven
+// through long seeded write/erase/Snapshot/Revert/Commit sequences
+// against deliberately naive reference models:
 //
-//   - trie  vs  std::map<Bytes, Bytes> + a rebuild-from-scratch trie
-//     (equal contents, equal root bytes, valid proofs for present and
-//     absent keys at every checkpoint);
-//   - StateDB vs a plain account map whose snapshots are full copies
-//     (equal balances/nonces/storage, a root byte-identical to a
-//     from-scratch StateDB rebuilt from the model, valid account
-//     proofs).
+//   - ReferenceTrie vs std::map<Bytes, Bytes> + a rebuild-from-scratch
+//     trie (equal contents, equal root bytes, valid proofs for present
+//     and absent keys at every checkpoint);
+//   - StateDB vs a plain account map whose snapshots are full copies and
+//     whose write log carries one mark per snapshot (equal contents, a
+//     root byte-identical to the reference trie over free-standing
+//     account digests, valid account proofs, and TouchedSince equal to
+//     the logged writes of every live snapshot span).
 //
-// Any divergence between the O(dirty·depth) incremental path and the
-// O(n) rebuild — a stale cached hash, a leaked journal entry, a COW
-// node aliased across versions — fails here. The suites run under the
+// Any divergence between the incremental path and the rebuild — a
+// stale cached hash, a node written after it was shared, a leaf
+// aliased across versions — fails here. The suites run under the
 // ASan/UBSan and (via the shardchain_tests binary) release CI legs.
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,9 +29,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "parallel/thread_pool.h"
+#include "reference_trie.h"
 #include "state/statedb.h"
-#include "state/trie.h"
 #include "types/address.h"
 
 namespace shardchain {
@@ -57,12 +59,12 @@ Bytes ValueFor(uint64_t n) {
 }
 
 Hash256 RebuildRoot(const std::map<Bytes, Bytes>& model) {
-  MerklePatriciaTrie scratch;
+  ReferenceTrie scratch;
   for (const auto& [key, value] : model) scratch.Put(key, value);
   return scratch.RootHash();
 }
 
-void CheckTrieAgainstModel(const MerklePatriciaTrie& trie,
+void CheckTrieAgainstModel(const ReferenceTrie& trie,
                            const std::map<Bytes, Bytes>& model,
                            uint64_t probe_seed) {
   ASSERT_EQ(trie.Size(), model.size());
@@ -89,7 +91,7 @@ void CheckTrieAgainstModel(const MerklePatriciaTrie& trie,
       ASSERT_EQ(*expected, model_it->second);
     }
     const auto proof = trie.Prove(key);
-    auto verified = MerklePatriciaTrie::VerifyProof(root, key, proof);
+    auto verified = mpt::VerifyProof(root, key, proof);
     ASSERT_TRUE(verified.ok()) << verified.status().ToString();
     ASSERT_EQ(*verified, expected) << "proof resolved the wrong value";
   }
@@ -98,7 +100,7 @@ void CheckTrieAgainstModel(const MerklePatriciaTrie& trie,
 TEST(StateDifferential, TrieMatchesMapThroughRandomOps) {
   for (uint64_t seed : {11ull, 22ull, 33ull}) {
     Rng rng(seed);
-    MerklePatriciaTrie trie;
+    ReferenceTrie trie;
     std::map<Bytes, Bytes> model;
     for (int step = 0; step < 1200; ++step) {
       const uint64_t n = rng.Next() % 4096;
@@ -121,7 +123,7 @@ TEST(StateDifferential, TrieMatchesMapThroughRandomOps) {
 
 TEST(StateDifferential, TrieCopiesAreIndependentVersions) {
   Rng rng(4242);
-  MerklePatriciaTrie base;
+  ReferenceTrie base;
   std::map<Bytes, Bytes> base_model;
   for (int i = 0; i < 300; ++i) {
     const Bytes key = KeyFor(rng.Next() % 2048);
@@ -133,7 +135,7 @@ TEST(StateDifferential, TrieCopiesAreIndependentVersions) {
 
   // An O(1) copy shares structure; divergent mutations on the copy
   // must never leak into the original (and vice versa).
-  MerklePatriciaTrie fork = base;
+  ReferenceTrie fork = base;
   std::map<Bytes, Bytes> fork_model = base_model;
   for (int i = 0; i < 300; ++i) {
     const Bytes key = KeyFor(rng.Next() % 2048);
@@ -151,9 +153,9 @@ TEST(StateDifferential, TrieCopiesAreIndependentVersions) {
   CheckTrieAgainstModel(fork, fork_model, 2);
 
   // And a chain of versions each sharing with its predecessor.
-  std::vector<MerklePatriciaTrie> versions;
+  std::vector<ReferenceTrie> versions;
   std::vector<Hash256> roots;
-  MerklePatriciaTrie head = base;
+  ReferenceTrie head = base;
   for (int v = 0; v < 10; ++v) {
     head.Put(KeyFor(9000 + static_cast<uint64_t>(v)), ValueFor(v));
     versions.push_back(head);
@@ -174,8 +176,9 @@ Address AddrFor(uint64_t n) {
   return a;
 }
 
-/// The naive reference: plain account data, snapshots as full copies —
-/// exactly the semantics the journal replaces.
+/// The naive reference: plain account data, snapshots as full copies,
+/// and a log of written addresses with one mark per live snapshot —
+/// exactly the semantics the saved roots replace.
 struct RefAccount {
   Amount balance = 0;
   uint64_t nonce = 0;
@@ -186,36 +189,74 @@ struct RefAccount {
 struct RefState {
   std::map<Address, RefAccount> accounts;
   std::vector<std::map<Address, RefAccount>> snapshots;
+  std::vector<Address> log;
+  std::vector<size_t> marks;
 
-  RefAccount& Get(const Address& a) { return accounts[a]; }
+  /// Write access: logs `a` and creates it when absent.
+  RefAccount& Get(const Address& a) {
+    log.push_back(a);
+    return accounts[a];
+  }
+  bool Erase(const Address& a) {
+    if (accounts.erase(a) == 0) return false;
+    log.push_back(a);
+    return true;
+  }
   size_t Snapshot() {
     snapshots.push_back(accounts);
+    marks.push_back(log.size());
     return snapshots.size() - 1;
   }
   void RevertTo(size_t id) {
     accounts = snapshots[id];
     snapshots.resize(id);
+    log.resize(marks[id]);
+    marks.resize(id);
   }
-  void Commit() { snapshots.pop_back(); }
+  void Commit() {
+    snapshots.pop_back();
+    marks.pop_back();
+  }
+  /// The addresses logged since snapshot `id`, sorted and deduplicated,
+  /// restricted to those present at the snapshot or now (an account
+  /// created and erased inside the span has left no trace).
+  std::vector<Address> TouchedSince(size_t id) const {
+    std::vector<Address> out;
+    for (size_t i = marks[id]; i < log.size(); ++i) {
+      const Address& a = log[i];
+      if (snapshots[id].count(a) > 0 || accounts.count(a) > 0) {
+        out.push_back(a);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
 };
 
-/// Rebuild-from-scratch root: a fresh StateDB populated with the
-/// model's contents, with no shared history with the incremental one.
+/// Rebuild-from-scratch root: the reference trie over the digests of
+/// free-standing accounts holding the model's contents. No StateDB
+/// code is involved.
 Hash256 RebuildRoot(const RefState& ref) {
-  StateDB scratch;
-  for (const auto& [addr, account] : ref.accounts) {
-    Account& a = scratch.GetOrCreate(addr);
-    a.balance = account.balance;
-    a.nonce = account.nonce;
-    a.code = account.code;
-    a.storage = account.storage;
+  ReferenceTrie scratch;
+  for (const auto& [addr, ref_account] : ref.accounts) {
+    Account account;
+    account.balance = ref_account.balance;
+    account.nonce = ref_account.nonce;
+    account.code = ref_account.code;
+    account.storage = ref_account.storage;
+    const Hash256 digest = account.Digest(addr);
+    scratch.Put(Bytes(addr.bytes.begin(), addr.bytes.end()),
+                Bytes(digest.bytes.begin(), digest.bytes.end()));
   }
-  return scratch.StateRoot();
+  return scratch.RootHash();
 }
 
 void CheckStateAgainstModel(const StateDB& db, const RefState& ref) {
   ASSERT_EQ(db.AccountCount(), ref.accounts.size());
+  std::vector<Address> addresses;
   for (const auto& [addr, account] : ref.accounts) {
+    addresses.push_back(addr);
     ASSERT_EQ(db.BalanceOf(addr), account.balance);
     ASSERT_EQ(db.NonceOf(addr), account.nonce);
     const Account* held = db.Find(addr);
@@ -223,6 +264,7 @@ void CheckStateAgainstModel(const StateDB& db, const RefState& ref) {
     ASSERT_EQ(held->code, account.code);
     ASSERT_EQ(held->storage, account.storage);
   }
+  ASSERT_EQ(db.Addresses(), addresses);
   const Hash256 root = db.StateRoot();
   ASSERT_EQ(root, RebuildRoot(ref))
       << "incremental state root diverged from scratch rebuild";
@@ -250,8 +292,10 @@ TEST(StateDifferential, StateDBMatchesModelThroughSnapshotsAndReverts) {
     RefState ref;
     std::vector<size_t> live_snaps;
     for (int step = 0; step < 900; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
       const Address addr = AddrFor(rng.Next() % 64);
-      switch (rng.UniformInt(10)) {
+      switch (rng.UniformInt(11)) {
         case 0:
         case 1:
         case 2: {  // Mint.
@@ -302,6 +346,10 @@ TEST(StateDifferential, StateDBMatchesModelThroughSnapshotsAndReverts) {
           ASSERT_TRUE(db.RevertTo(id).IsOutOfRange());
           break;
         }
+        case 9: {  // Erase (a no-op on an absent account).
+          ASSERT_EQ(db.EraseAccount(addr), ref.Erase(addr));
+          break;
+        }
         default: {  // Commit the innermost snapshot.
           if (live_snaps.empty()) break;
           ASSERT_TRUE(db.Commit(live_snaps.back()).ok());
@@ -310,36 +358,14 @@ TEST(StateDifferential, StateDBMatchesModelThroughSnapshotsAndReverts) {
           break;
         }
       }
+      for (const size_t id : live_snaps) {
+        Result<std::vector<Address>> touched = db.TouchedSince(id);
+        ASSERT_TRUE(touched.ok()) << touched.status().ToString();
+        ASSERT_EQ(*touched, ref.TouchedSince(id)) << "snapshot " << id;
+      }
       if (step % 90 == 89) CheckStateAgainstModel(db, ref);
     }
     CheckStateAgainstModel(db, ref);
-  }
-}
-
-TEST(StateDifferential, ParallelDigestBatchMatchesSerial) {
-  // The batch digest recompute must be bitwise-identical at any thread
-  // count (§9 contract): drive two StateDBs through the same mutation
-  // stream, one serial, one with a pool, and compare roots repeatedly.
-  ThreadPool pool(4);
-  StateDB serial;
-  StateDB parallel;
-  parallel.SetThreadPool(&pool);
-  Rng rng(31337);
-  for (int round = 0; round < 20; ++round) {
-    for (int i = 0; i < 200; ++i) {
-      const Address addr = AddrFor(rng.Next() % 500);
-      const Amount amount = 1 + rng.UniformInt(100);
-      serial.Mint(addr, amount);
-      parallel.Mint(addr, amount);
-      if (i % 5 == 0) {
-        const uint64_t key = rng.Next() % 8;
-        const int64_t value = static_cast<int64_t>(rng.Next() % 100);
-        serial.StorageSet(addr, key, value);
-        parallel.StorageSet(addr, key, value);
-      }
-    }
-    ASSERT_EQ(serial.StateRoot(), parallel.StateRoot())
-        << "thread count leaked into root bytes at round " << round;
   }
 }
 

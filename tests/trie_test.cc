@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "state/trie.h"
+#include "reference_trie.h"
 
 namespace shardchain {
 namespace {
@@ -23,7 +23,7 @@ Bytes Key(const char* prefix, uint64_t n) {
 }
 
 TEST(TrieTest, EmptyTrie) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   EXPECT_TRUE(trie.Empty());
   EXPECT_EQ(trie.Size(), 0u);
   EXPECT_TRUE(trie.RootHash().IsZero());
@@ -31,7 +31,7 @@ TEST(TrieTest, EmptyTrie) {
 }
 
 TEST(TrieTest, SinglePutGet) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   trie.Put(B("key"), B("value"));
   EXPECT_EQ(trie.Size(), 1u);
   ASSERT_TRUE(trie.Get(B("key")).has_value());
@@ -40,7 +40,7 @@ TEST(TrieTest, SinglePutGet) {
 }
 
 TEST(TrieTest, OverwriteKeepsSize) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   trie.Put(B("key"), B("v1"));
   const Hash256 h1 = trie.RootHash();
   trie.Put(B("key"), B("v2"));
@@ -50,7 +50,7 @@ TEST(TrieTest, OverwriteKeepsSize) {
 }
 
 TEST(TrieTest, PrefixKeysCoexist) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   trie.Put(B("do"), B("verb"));
   trie.Put(B("dog"), B("animal"));
   trie.Put(B("doge"), B("coin"));
@@ -63,7 +63,7 @@ TEST(TrieTest, PrefixKeysCoexist) {
 }
 
 TEST(TrieTest, DivergentKeys) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   trie.Put(B("horse"), B("stallion"));
   trie.Put(B("house"), B("building"));
   EXPECT_EQ(*trie.Get(B("horse")), B("stallion"));
@@ -76,25 +76,25 @@ TEST(TrieTest, RootIsOrderIndependent) {
     kvs.emplace_back(Key("key-", i),
                      Key("val-", i * 7));
   }
-  MerklePatriciaTrie a;
+  ReferenceTrie a;
   for (const auto& [k, v] : kvs) a.Put(k, v);
-  MerklePatriciaTrie b;
+  ReferenceTrie b;
   for (auto it = kvs.rbegin(); it != kvs.rend(); ++it) b.Put(it->first, it->second);
   EXPECT_EQ(a.RootHash(), b.RootHash());
 }
 
 TEST(TrieTest, RootChangesWithAnyValue) {
-  MerklePatriciaTrie a;
+  ReferenceTrie a;
   a.Put(B("k1"), B("x"));
   a.Put(B("k2"), B("y"));
-  MerklePatriciaTrie b;
+  ReferenceTrie b;
   b.Put(B("k1"), B("x"));
   b.Put(B("k2"), B("z"));
   EXPECT_NE(a.RootHash(), b.RootHash());
 }
 
 TEST(TrieTest, DeleteRestoresPriorRoot) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   trie.Put(B("alpha"), B("1"));
   trie.Put(B("beta"), B("2"));
   const Hash256 before = trie.RootHash();
@@ -106,7 +106,7 @@ TEST(TrieTest, DeleteRestoresPriorRoot) {
 }
 
 TEST(TrieTest, DeleteMissingReturnsFalse) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   trie.Put(B("alpha"), B("1"));
   EXPECT_FALSE(trie.Delete(B("beta")));
   EXPECT_FALSE(trie.Delete(B("alphaa")));
@@ -115,7 +115,7 @@ TEST(TrieTest, DeleteMissingReturnsFalse) {
 }
 
 TEST(TrieTest, DeleteToEmpty) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   trie.Put(B("only"), B("1"));
   EXPECT_TRUE(trie.Delete(B("only")));
   EXPECT_TRUE(trie.Empty());
@@ -123,7 +123,7 @@ TEST(TrieTest, DeleteToEmpty) {
 }
 
 TEST(TrieTest, EntriesSortedByKey) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   trie.Put(B("zebra"), B("1"));
   trie.Put(B("ant"), B("2"));
   trie.Put(B("mole"), B("3"));
@@ -138,10 +138,10 @@ TEST(TrieTest, EntriesSortedByKey) {
 }
 
 TEST(TrieTest, CopyIsDeepAndEqual) {
-  MerklePatriciaTrie a;
+  ReferenceTrie a;
   a.Put(B("k1"), B("v1"));
   a.Put(B("k2"), B("v2"));
-  MerklePatriciaTrie b = a;
+  ReferenceTrie b = a;
   EXPECT_EQ(a.RootHash(), b.RootHash());
   b.Put(B("k3"), B("v3"));
   EXPECT_NE(a.RootHash(), b.RootHash());
@@ -154,7 +154,7 @@ class TrieFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TrieFuzzTest, MatchesStdMapUnderRandomOps) {
   Rng rng(GetParam());
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   std::map<Bytes, Bytes> model;
   for (int op = 0; op < 600; ++op) {
     const uint64_t key_id = rng.UniformInt(64);
@@ -191,7 +191,7 @@ TEST_P(TrieFuzzTest, RootHashMatchesRebuild) {
   // Root after random inserts+deletes equals the root of a fresh trie
   // holding the surviving entries — history independence.
   Rng rng(GetParam() + 1000);
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   std::map<Bytes, Bytes> model;
   for (int op = 0; op < 300; ++op) {
     const Bytes key = Key("k", rng.UniformInt(48));
@@ -204,7 +204,7 @@ TEST_P(TrieFuzzTest, RootHashMatchesRebuild) {
       model.erase(key);
     }
   }
-  MerklePatriciaTrie rebuilt;
+  ReferenceTrie rebuilt;
   for (const auto& [k, v] : model) rebuilt.Put(k, v);
   EXPECT_EQ(trie.RootHash(), rebuilt.RootHash());
 }
@@ -215,7 +215,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TrieFuzzTest,
 // ----------------------------- Proofs -----------------------------------
 
 TEST(TrieProofTest, ProvesPresentKeys) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   for (int i = 0; i < 30; ++i) {
     trie.Put(Key("acct-", i), Key("bal-", i));
   }
@@ -223,7 +223,7 @@ TEST(TrieProofTest, ProvesPresentKeys) {
   for (int i = 0; i < 30; ++i) {
     const Bytes key = Key("acct-", i);
     const auto proof = trie.Prove(key);
-    auto verified = MerklePatriciaTrie::VerifyProof(root, key, proof);
+    auto verified = mpt::VerifyProof(root, key, proof);
     ASSERT_TRUE(verified.ok()) << verified.status().ToString();
     ASSERT_TRUE(verified->has_value());
     EXPECT_EQ(**verified, Key("bal-", i));
@@ -231,14 +231,14 @@ TEST(TrieProofTest, ProvesPresentKeys) {
 }
 
 TEST(TrieProofTest, ProvesAbsentKeys) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   trie.Put(B("alpha"), B("1"));
   trie.Put(B("beta"), B("2"));
   trie.Put(B("gamma"), B("3"));
   const Hash256 root = trie.RootHash();
   for (const char* missing : {"delta", "alphaa", "alp", "zeta"}) {
     const auto proof = trie.Prove(B(missing));
-    auto verified = MerklePatriciaTrie::VerifyProof(root, B(missing), proof);
+    auto verified = mpt::VerifyProof(root, B(missing), proof);
     ASSERT_TRUE(verified.ok())
         << missing << ": " << verified.status().ToString();
     EXPECT_FALSE(verified->has_value()) << missing;
@@ -246,33 +246,33 @@ TEST(TrieProofTest, ProvesAbsentKeys) {
 }
 
 TEST(TrieProofTest, RejectsTamperedProof) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   trie.Put(B("key1"), B("value1"));
   trie.Put(B("key2"), B("value2"));
   auto proof = trie.Prove(B("key1"));
   ASSERT_FALSE(proof.empty());
   proof.back().encoded.back() ^= 0x01;
   EXPECT_FALSE(
-      MerklePatriciaTrie::VerifyProof(trie.RootHash(), B("key1"), proof).ok());
+      mpt::VerifyProof(trie.RootHash(), B("key1"), proof).ok());
 }
 
 TEST(TrieProofTest, RejectsProofAgainstWrongRoot) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   trie.Put(B("key1"), B("value1"));
   const auto proof = trie.Prove(B("key1"));
   Hash256 wrong = trie.RootHash();
   wrong.bytes[0] ^= 0xff;
-  EXPECT_FALSE(MerklePatriciaTrie::VerifyProof(wrong, B("key1"), proof).ok());
+  EXPECT_FALSE(mpt::VerifyProof(wrong, B("key1"), proof).ok());
 }
 
 TEST(TrieProofTest, CannotClaimAbsentKeyPresent) {
   // A proof for key A must not verify as a proof for key B.
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   trie.Put(B("aa"), B("1"));
   trie.Put(B("ab"), B("2"));
   const auto proof = trie.Prove(B("aa"));
   auto verified =
-      MerklePatriciaTrie::VerifyProof(trie.RootHash(), B("ab"), proof);
+      mpt::VerifyProof(trie.RootHash(), B("ab"), proof);
   // Either rejected outright or resolves to "absent"/different value —
   // never to key aa's value under key ab... the branch hash walk fails.
   if (verified.ok() && verified->has_value()) {
@@ -281,10 +281,10 @@ TEST(TrieProofTest, CannotClaimAbsentKeyPresent) {
 }
 
 TEST(TrieProofTest, EmptyTrieProof) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   const auto proof = trie.Prove(B("anything"));
   EXPECT_TRUE(proof.empty());
-  auto verified = MerklePatriciaTrie::VerifyProof(Hash256::Zero(),
+  auto verified = mpt::VerifyProof(Hash256::Zero(),
                                                   B("anything"), proof);
   ASSERT_TRUE(verified.ok());
   EXPECT_FALSE(verified->has_value());
@@ -301,7 +301,7 @@ Bytes RandomKey(Rng* rng) {
 TEST(TrieProofFuzzTest, RandomKeysRoundTripPresenceAndAbsence) {
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(0x70726f6f66ull * seed);
-    MerklePatriciaTrie trie;
+    ReferenceTrie trie;
     std::map<Bytes, Bytes> expected;
     while (expected.size() < 200) {
       const Bytes key = RandomKey(&rng);
@@ -315,7 +315,7 @@ TEST(TrieProofFuzzTest, RandomKeysRoundTripPresenceAndAbsence) {
     // Every inserted key proves present with its exact value.
     for (const auto& [key, value] : expected) {
       const auto proof = trie.Prove(key);
-      auto verified = MerklePatriciaTrie::VerifyProof(root, key, proof);
+      auto verified = mpt::VerifyProof(root, key, proof);
       ASSERT_TRUE(verified.ok())
           << "seed " << seed << ": " << verified.status().ToString();
       ASSERT_TRUE(verified->has_value()) << "seed " << seed;
@@ -329,7 +329,7 @@ TEST(TrieProofFuzzTest, RandomKeysRoundTripPresenceAndAbsence) {
       if (expected.count(key) > 0) continue;
       ++absent;
       const auto proof = trie.Prove(key);
-      auto verified = MerklePatriciaTrie::VerifyProof(root, key, proof);
+      auto verified = mpt::VerifyProof(root, key, proof);
       ASSERT_TRUE(verified.ok())
           << "seed " << seed << ": " << verified.status().ToString();
       EXPECT_FALSE(verified->has_value()) << "seed " << seed;
@@ -344,7 +344,7 @@ TEST(TrieProofFuzzTest, CorruptedProofsNeverVerifyToOriginalValue) {
   // value on a disjoint path — that is fine; claiming the original
   // binding from mutated evidence is not.)
   Rng rng(0xc0de);
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   std::vector<Bytes> keys;
   for (int i = 0; i < 64; ++i) {
     const Bytes key = RandomKey(&rng);
@@ -353,9 +353,9 @@ TEST(TrieProofFuzzTest, CorruptedProofsNeverVerifyToOriginalValue) {
   }
   const Hash256 root = trie.RootHash();
 
-  auto survives = [&root](const Bytes& key, const MerklePatriciaTrie::Proof& p,
+  auto survives = [&root](const Bytes& key, const mpt::Proof& p,
                           const Bytes& honest) {
-    auto verified = MerklePatriciaTrie::VerifyProof(root, key, p);
+    auto verified = mpt::VerifyProof(root, key, p);
     return verified.ok() && verified->has_value() && **verified == honest;
   };
 
@@ -363,7 +363,7 @@ TEST(TrieProofFuzzTest, CorruptedProofsNeverVerifyToOriginalValue) {
   for (size_t k = 0; k < keys.size(); k += 7) {
     const Bytes& key = keys[k];
     const auto proof = trie.Prove(key);
-    auto verified = MerklePatriciaTrie::VerifyProof(root, key, proof);
+    auto verified = mpt::VerifyProof(root, key, proof);
     ASSERT_TRUE(verified.ok() && verified->has_value());
     const Bytes honest = **verified;
 
@@ -397,7 +397,7 @@ TEST(TrieProofFuzzTest, CorruptedProofsNeverVerifyToOriginalValue) {
 }
 
 TEST(TrieProofTest, ProofSizeIsLogarithmic) {
-  MerklePatriciaTrie trie;
+  ReferenceTrie trie;
   Rng rng(99);
   for (int i = 0; i < 2000; ++i) {
     Bytes key(8);

@@ -143,8 +143,8 @@ std::string ClassPrefix(const std::string& name) {
 
 // True when `token` occurs on identifier boundaries anywhere in
 // [begin, end) of `s` and names a type there. An occurrence followed
-// by `::` is a QUALIFIER (`MerklePatriciaTrie::Proof` names Proof, not
-// the trie class); one followed by `<` is a template wrapper
+// by `::` is a QUALIFIER (`mpt::Proof` names Proof, not the mpt
+// namespace); one followed by `<` is a template wrapper
 // (`Result<Block>` names Block, not Result). Neither counts.
 bool TokenInRange(const std::string& s, size_t begin, size_t end,
                   const std::string& token) {

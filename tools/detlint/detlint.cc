@@ -15,7 +15,7 @@
 // reports, `--check-waivers` — is the shared liblint driver
 // (tools/liblint/); this file holds only the rule table and the rule
 // scanners. See also tools/parlint, the sibling tool enforcing the
-// DESIGN.md §9/§10 parallelism and snapshot-journal contracts.
+// DESIGN.md §9/§10 parallelism and snapshot-bracket contracts.
 //
 // Usage:
 //   detlint [--report <file.json>] [--root <dir>] [--list-rules]

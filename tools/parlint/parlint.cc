@@ -1,11 +1,11 @@
 // parlint — static enforcement of the parallel-determinism and
-// state-journal contracts.
+// state-snapshot contracts.
 //
 // DESIGN.md §9 makes parallel results scheduling-independent through a
 // four-rule contract (fixed chunking, disjoint writes, ordered
-// reduction, per-chunk ChunkSeed RNG streams), and §10 keeps the state
-// journal bounded through a snapshot bracket discipline (every
-// Snapshot() id reaches Commit or RevertTo on every path). Both were
+// reduction, per-chunk ChunkSeed RNG streams), and §10 keeps saved
+// state versions from piling up through a snapshot bracket discipline
+// (every Snapshot() id reaches Commit or RevertTo on every path). Both were
 // hand-enforced conventions: a reviewer could merge a `[&]`-capturing
 // ParallelFor body or a leaked snapshot and nothing failed until a
 // seed or a TSan run happened to hit it. parlint turns them into
@@ -69,8 +69,8 @@ constexpr RuleInfo kRules[] = {
     {"unbalanced-snapshot",
      "Snapshot() whose id does not reach both Commit and RevertTo later "
      "in the enclosing function (scope-based approximation); a one-sided "
-     "bracket either leaks journal entries or loses the rollback path "
-     "(§10)"},
+     "bracket either pins a whole old state version or loses the rollback "
+     "path (§10)"},
     {"nested-parallel",
      "ParallelFor/ParallelReduce/ParallelChunks lexically inside another "
      "parallel body; legal but it serializes inline, so it must carry an "
@@ -623,7 +623,7 @@ int main(int argc, char** argv) {
   liblint::Tool tool;
   tool.name = "parlint";
   tool.tagline =
-      "the §9 parallel-determinism and §10 snapshot-journal contracts";
+      "the §9 parallel-determinism and §10 snapshot-bracket contracts";
   tool.rules = kRules;
   tool.rule_count = sizeof(kRules) / sizeof(kRules[0]);
   tool.scan = [](const Source& src, std::vector<Finding>* out) {
