@@ -66,16 +66,14 @@ Address BenchAddr(uint64_t n) {
   return a;
 }
 
-/// The pre-incremental StateRoot(): recompute every account's digest
-/// (the old code had no digest cache) and build a fresh StateDB from
-/// them. Byte-identical to StateDB::StateRoot() over the same contents —
-/// the identity gates below enforce exactly that.
+/// The pre-incremental StateRoot(): copy every account into a fresh
+/// StateDB, so every node and account digest is computed anew.
+/// Byte-identical to StateDB::StateRoot() over the same contents — the
+/// identity gates below enforce exactly that.
 Hash256 RootFromScratch(const StateDB& db) {
   StateDB fresh;
   for (const Address& addr : db.Addresses()) {
-    Account& account = fresh.GetOrCreate(addr);
-    account = *db.Find(addr);
-    account.MarkDigestDirty();
+    fresh.GetOrCreate(addr) = *db.Find(addr);
   }
   return fresh.StateRoot();
 }

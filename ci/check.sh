@@ -13,7 +13,8 @@
 #      and chaos suites — the legs that actually spin up the
 #      deterministic thread pool (DESIGN.md §9).
 #   4. The release-leg benches with identity gates, then a 2-second
-#      perfbench run of each workload (perfbench/README.md).
+#      perfbench run of each workload untraced and one traced
+#      (perfbench/README.md).
 #
 # Usage: ci/check.sh [build-dir-prefix]   (default: build-ci)
 
@@ -182,6 +183,13 @@ for workload in backlog_drain sharded_epochs signed_stream; do
   echo "==== perfbench $workload (harness tests + 2-vs-1-thread gate) ===="
   CARGO_TARGET_DIR="$prefix-release" python3 perfbench/run.py \
     --workload "$workload" --seed 1 --seconds 2 --trace 0
+done
+# The traced path: span probes around every public call, and the check
+# that block spans cover at least 95% of block time.
+for workload in backlog_drain sharded_epochs signed_stream; do
+  echo "==== perfbench $workload (traced, block-span coverage >= 0.95) ===="
+  CARGO_TARGET_DIR="$prefix-release" python3 perfbench/run.py \
+    --workload "$workload" --seed 1 --seconds 2 --trace 1
 done
 
 print_lint_summary "$prefix-release"

@@ -196,18 +196,15 @@ Result<std::vector<Transaction>> ExecuteCandidates(
   std::vector<Transaction> included;
   if (pool == nullptr || pool->thread_count() <= 1 ||
       ThreadPool::InParallelRegion()) {
-    // Serial greedy loop. Each candidate runs against a saved-root
-    // revert point — committed if it executes, rolled back if not — so
-    // trying a transaction costs O(accounts it touches · depth), not a
-    // copy of the whole state.
+    // Serial greedy loop. A candidate that fails leaves the state as it
+    // found it (ExecuteTransaction's contract), so it needs no bracket,
+    // and with no saved root pinning them, the nodes a candidate clones
+    // stay private: later candidates write them in place, and each
+    // path is cloned once per block.
     for (Transaction& tx : candidates) {
       if (included.size() >= cap) break;
-      const size_t trial = state->Snapshot();
       if (Ledger::ExecuteTransaction(tx, miner, config, state).ok()) {
-        SHARDCHAIN_RETURN_IF_ERROR(state->Commit(trial));
         included.push_back(std::move(tx));
-      } else {
-        SHARDCHAIN_RETURN_IF_ERROR(state->RevertTo(trial));
       }
     }
     return included;

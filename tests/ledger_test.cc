@@ -388,6 +388,62 @@ TEST(LedgerTest, BuildBlockRevertsFailingCandidateMidStream) {
   EXPECT_EQ(ledger.tip_state().BalanceOf(Addr(3)), 500u);
 }
 
+TEST(LedgerTest, FailedTransactionLeavesStateUnchanged) {
+  // The serial executor runs candidates with no bracket of its own, so
+  // a transaction that fails must leave no write behind: no created
+  // account, no fee charged, no cloned leaf.
+  constexpr Amount kMax = ~Amount{0};
+  const Address sender = Addr(1);
+  const Address absent = Addr(0x55);
+  const Address miner = Addr(9);
+
+  StateDB genesis = FundedState();
+  Result<Address> contract = ContractRegistry::Deploy(
+      &genesis, Addr(7), contracts::UnconditionalTransfer(Addr(2)));
+  ASSERT_TRUE(contract.ok());
+  // A contract already sits where `sender`'s nonce-0 deploy would go.
+  ASSERT_TRUE(genesis
+                  .DeployContract(Address::ForContract(sender, 0),
+                                  contracts::Escrow(Addr(2)).Serialize())
+                  .ok());
+
+  Transaction call = Pay(sender, *contract, 10, 5);
+  call.kind = TxKind::kContractCall;
+  call.gas_limit = 1;  // The VM runs out of gas after the call value moved.
+  Transaction garbage_deploy = Pay(sender, Address{}, 0, 5);
+  garbage_deploy.kind = TxKind::kContractDeploy;
+  garbage_deploy.payload = {0xde, 0xad};
+  Transaction colliding_deploy = garbage_deploy;
+  colliding_deploy.payload =
+      contracts::UnconditionalTransfer(Addr(2)).Serialize();
+
+  const struct {
+    const char* name;
+    Transaction tx;
+  } cases[] = {
+      {"absent sender, fee + value wraps", Pay(absent, Addr(2), 1, kMax)},
+      {"funded sender, fee + value wraps", Pay(sender, Addr(2), kMax, 1)},
+      {"wrong nonce", Pay(sender, Addr(2), 10, 5, /*nonce=*/3)},
+      {"short balance", Pay(sender, Addr(2), 996, 5)},
+      {"contract call fails in the VM", call},
+      {"undecodable deploy", garbage_deploy},
+      {"deploy onto an existing contract", colliding_deploy},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    StateDB state = genesis;
+    const Hash256 root = state.StateRoot();
+    const size_t accounts = state.AccountCount();
+    const std::vector<Address> addresses = state.Addresses();
+    EXPECT_FALSE(
+        Ledger::ExecuteTransaction(c.tx, miner, ChainConfig{}, &state).ok());
+    EXPECT_EQ(state.StateRoot(), root);
+    EXPECT_EQ(state.AccountCount(), accounts);
+    EXPECT_EQ(state.Addresses(), addresses);
+    EXPECT_EQ(state.SnapshotDepth(), 0u);
+  }
+}
+
 TEST(PowTest, TargetMonotoneInDifficulty) {
   EXPECT_GT(pow::TargetForDifficulty(2), pow::TargetForDifficulty(1000));
   EXPECT_EQ(pow::TargetForDifficulty(1), ~uint64_t{0});

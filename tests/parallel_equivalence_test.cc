@@ -293,7 +293,8 @@ StateDB ForkBase() {
 
 /// Fork `fork`'s scripted writes, a pure function of its id: credits,
 /// storage writes, fresh accounts one byte away from a base account
-/// (they split a leaf the fork shares with the base), erasures and a
+/// (they split a leaf the fork shares with the base, re-seating it far
+/// below the depth the base hashed it at), erasures and a
 /// snapshot/revert. Returns the root every 50 ops and at the end.
 std::vector<Hash256> RunForkOps(uint64_t fork, StateDB* db, bool* ok) {
   Rng rng(0xf0f0 + fork);

@@ -136,8 +136,12 @@ Scenario AllConflictScenario(uint64_t seed) {
 /// Contract-call mix: the standard templates (escrow, token,
 /// crowdfund, conditional transfer), interleaved with transfers,
 /// deploys (serial barriers), calls to not-yet-deployed addresses, and
-/// repeat-sender sequences whose nonces chain.
+/// repeat-sender sequences whose nonces chain. Hostile candidates ride
+/// along: fee + value past 2^64, undecodable deploys, calls that run out
+/// of gas after their value moved, senders never funded, and the miner
+/// every cell uses (Addr(0x99)) paying itself.
 Scenario ContractMixScenario(uint64_t seed) {
+  constexpr Amount kMax = ~Amount{0};
   Rng rng(seed * 6151 + 3);
   Scenario s;
   s.config.max_txs_per_block = 64;
@@ -170,12 +174,13 @@ Scenario ContractMixScenario(uint64_t seed) {
     s.genesis.Mint(senders.back(), 5'000);
   }
   for (size_t i = 0; i < n; ++i) {
-    const Address sender = senders[rng.UniformInt(senders.size())];
+    Address sender = senders[rng.UniformInt(senders.size())];
+    // Off for candidates that always fail, so the sender's next
+    // candidate still carries the nonce it expects.
+    bool takes_nonce = true;
     Transaction tx;
-    tx.sender = sender;
-    tx.nonce = nonces[sender]++;
     tx.fee = 1 + rng.UniformInt(8);
-    const uint32_t shape = static_cast<uint32_t>(rng.UniformInt(10));
+    const uint32_t shape = static_cast<uint32_t>(rng.UniformInt(14));
     if (shape < 3) {
       tx.kind = TxKind::kDirectTransfer;
       tx.recipient = parties[rng.UniformInt(parties.size())];
@@ -193,16 +198,41 @@ Scenario ContractMixScenario(uint64_t seed) {
         tx.payload = Vm::EncodeArgs({rng.Bernoulli(0.8) ? 0 : 1});
       }
     } else if (shape == 8) {
-      // Deploy: always a serial barrier.
+      // Deploy: always a serial barrier; some payloads do not decode.
       tx.kind = TxKind::kContractDeploy;
       tx.payload =
           contracts::UnconditionalTransfer(RandomAddress(&rng)).Serialize();
-    } else {
+      if (rng.Bernoulli(0.3)) tx.payload = Bytes{0xde, 0xad};
+    } else if (shape == 9) {
       // Call into the void: fails at execution, unresolvable footprint.
       tx.kind = TxKind::kContractCall;
       tx.recipient = RandomAddress(&rng);
       tx.value = 1;
+    } else if (shape == 10) {
+      tx.kind = TxKind::kDirectTransfer;
+      tx.recipient = parties[rng.UniformInt(parties.size())];
+      tx.value = kMax - rng.UniformInt(4);
+      takes_nonce = false;
+    } else if (shape == 11) {
+      tx.kind = TxKind::kContractCall;
+      tx.recipient = targets[rng.UniformInt(targets.size())];
+      tx.value = 1 + rng.UniformInt(60);
+      tx.gas_limit = 1;
+      takes_nonce = false;
+    } else if (shape == 12) {
+      // A free transfer creates the sender; a fee of 1 fails.
+      sender = RandomAddress(&rng);
+      tx.kind = TxKind::kDirectTransfer;
+      tx.recipient = parties[rng.UniformInt(parties.size())];
+      tx.fee = rng.UniformInt(2);
+    } else {
+      sender = Addr(0x99);
+      tx.kind = TxKind::kDirectTransfer;
+      tx.recipient = sender;
+      tx.value = rng.UniformInt(5);
     }
+    tx.sender = sender;
+    tx.nonce = takes_nonce ? nonces[sender]++ : nonces[sender];
     s.txs.push_back(tx);
   }
   return s;
@@ -431,10 +461,44 @@ StateDB SerialReplay(const StateDB& genesis,
   return scratch;
 }
 
+/// Runs the executor at threads {1, 4} (the serial loop, then lanes)
+/// and compares its state to SerialReplay account by account, not just
+/// by root.
+void ExpectExecutorMatchesSerialReplay(const StateDB& genesis,
+                                       const std::vector<Transaction>& txs,
+                                       const Address& miner,
+                                       const ChainConfig& config) {
+  std::vector<Transaction> serial_included;
+  const StateDB serial =
+      SerialReplay(genesis, txs, miner, config, &serial_included);
+  for (const size_t threads : {1, 4}) {
+    ThreadPool pool(threads);
+    StateDB merged = genesis;
+    Result<std::vector<Transaction>> included =
+        ExecuteCandidates(txs, miner, config, &pool, &merged);
+    ASSERT_TRUE(included.ok()) << included.status().ToString();
+    EXPECT_EQ(Ids(*included), Ids(serial_included)) << threads;
+    EXPECT_EQ(merged.SnapshotDepth(), 0u) << threads;
+    EXPECT_EQ(merged.Addresses(), serial.Addresses()) << threads;
+    for (const Address& addr : serial.Addresses()) {
+      const Account* expect = serial.Find(addr);
+      const Account* got = merged.Find(addr);
+      ASSERT_NE(got, nullptr) << addr.ToHex();
+      EXPECT_EQ(got->balance, expect->balance) << addr.ToHex();
+      EXPECT_EQ(got->nonce, expect->nonce) << addr.ToHex();
+      EXPECT_EQ(got->storage, expect->storage) << addr.ToHex();
+      EXPECT_EQ(got->code, expect->code) << addr.ToHex();
+    }
+    EXPECT_EQ(merged.StateRoot(), serial.StateRoot()) << threads;
+  }
+}
+
 TEST(ConflictScheduleFuzz, ModificationLogMergeEqualsSerialReplay) {
-  // Random overlapping transfer workloads; compare the executor's state
-  // to serial replay account-by-account, not just by root, on the
-  // serial branch (1 thread) and on lanes (4 threads).
+  // Random overlapping transfer workloads with hostile candidates, then
+  // the contract-mix shape. The serial loop runs candidates with no
+  // bracket, so each failure below must leave no write behind.
+  constexpr Amount kMax = ~Amount{0};
+  const Address miner = Addr(0x99);
   for (uint64_t seed = 1; seed <= 100; ++seed) {
     SCOPED_TRACE("merge fuzz seed " + std::to_string(seed));
     Rng rng(seed * 2654435761u + 9);
@@ -444,49 +508,66 @@ TEST(ConflictScheduleFuzz, ModificationLogMergeEqualsSerialReplay) {
       actors.push_back(Addr(static_cast<uint8_t>(10 + i)));
       if (rng.Bernoulli(0.8)) genesis.Mint(actors.back(), rng.UniformInt(300));
     }
-    const Address miner = Addr(0x99);
+    Result<Address> contract = ContractRegistry::Deploy(
+        &genesis, Addr(0x30), contracts::UnconditionalTransfer(actors[0]));
+    ASSERT_TRUE(contract.ok());
     std::vector<Transaction> txs;
     std::map<Address, uint64_t> nonces;
     const size_t n = 8 + rng.UniformInt(25);
     for (size_t i = 0; i < n; ++i) {
       const Address from = actors[rng.UniformInt(actors.size())];
       const Address to = actors[rng.UniformInt(actors.size())];
-      Transaction tx = Pay(from, to, rng.UniformInt(120),
-                           rng.UniformInt(6), nonces[from]);
+      Transaction tx = Pay(from, to, rng.UniformInt(120), rng.UniformInt(6));
+      switch (rng.UniformInt(12)) {
+        case 0:  // fee near 2^64: fee + value mostly wraps.
+          tx.fee = kMax - rng.UniformInt(4);
+          break;
+        case 1:
+          tx.value = kMax - rng.UniformInt(4);
+          break;
+        case 2:  // A sender never funded; free transactions still pass.
+          tx.sender = Addr(static_cast<uint8_t>(0x70 + rng.UniformInt(4)));
+          tx.fee = rng.UniformInt(2);
+          tx.value = rng.UniformInt(2);
+          break;
+        case 3:  // The miner pays itself.
+          tx.sender = miner;
+          tx.recipient = miner;
+          break;
+        case 4:  // A call that succeeds, or runs out of gas in the VM.
+          tx.kind = TxKind::kContractCall;
+          tx.recipient = *contract;
+          if (rng.Bernoulli(0.5)) tx.gas_limit = 1;
+          break;
+        case 5:  // A call to an address without code.
+          tx.kind = TxKind::kContractCall;
+          break;
+        case 6:  // A deploy, undecodable half of the time.
+          tx.kind = TxKind::kContractDeploy;
+          tx.payload =
+              rng.Bernoulli(0.5)
+                  ? Bytes{0xde, 0xad}
+                  : contracts::UnconditionalTransfer(to).Serialize();
+          break;
+        default:
+          break;
+      }
+      tx.nonce = nonces[tx.sender];
       // Some candidates carry a stale nonce or go to the miner (an
       // unresolvable footprint) to exercise failures and barriers.
       if (rng.Bernoulli(0.1)) tx.nonce += 1;
       if (rng.Bernoulli(0.1)) tx.recipient = miner;
       txs.push_back(tx);
-      nonces[from] = tx.nonce == nonces[from] ? nonces[from] + 1 : nonces[from];
+      if (tx.nonce == nonces[tx.sender]) ++nonces[tx.sender];
     }
     ChainConfig config;
     config.max_txs_per_block = 6 + rng.UniformInt(30);
-
-    std::vector<Transaction> serial_included;
-    const StateDB serial =
-        SerialReplay(genesis, txs, miner, config, &serial_included);
-
-    for (const size_t threads : {1, 4}) {
-      ThreadPool pool(threads);
-      StateDB merged = genesis;
-      Result<std::vector<Transaction>> included =
-          ExecuteCandidates(txs, miner, config, &pool, &merged);
-      ASSERT_TRUE(included.ok()) << included.status().ToString();
-      EXPECT_EQ(Ids(*included), Ids(serial_included)) << threads;
-      // Account-by-account equality, then the authenticated root.
-      EXPECT_EQ(merged.Addresses(), serial.Addresses()) << threads;
-      for (const Address& addr : serial.Addresses()) {
-        const Account* expect = serial.Find(addr);
-        const Account* got = merged.Find(addr);
-        ASSERT_NE(got, nullptr) << addr.ToHex();
-        EXPECT_EQ(got->balance, expect->balance) << addr.ToHex();
-        EXPECT_EQ(got->nonce, expect->nonce) << addr.ToHex();
-        EXPECT_EQ(got->storage, expect->storage) << addr.ToHex();
-        EXPECT_EQ(got->code, expect->code) << addr.ToHex();
-      }
-      EXPECT_EQ(merged.StateRoot(), serial.StateRoot()) << threads;
-    }
+    ExpectExecutorMatchesSerialReplay(genesis, txs, miner, config);
+  }
+  for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
+    SCOPED_TRACE("contract-mix seed " + std::to_string(seed));
+    const Scenario s = ContractMixScenario(seed);
+    ExpectExecutorMatchesSerialReplay(s.genesis, s.txs, miner, s.config);
   }
 }
 

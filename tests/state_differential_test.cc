@@ -304,11 +304,13 @@ TEST(StateDifferential, StateDBMatchesModelThroughSnapshotsAndReverts) {
           ref.Get(addr).balance += amount;
           break;
         }
-        case 3: {  // Transfer (may legitimately fail).
+        case 3: {  // Transfer (may fail, and then writes nothing).
           const Address to = AddrFor(rng.Next() % 64);
           const Amount amount = 1 + rng.UniformInt(500);
           const bool ok = db.Transfer(addr, to, amount).ok();
-          const bool ref_ok = ref.Get(addr).balance >= amount;
+          const auto held = ref.accounts.find(addr);
+          const bool ref_ok =
+              held != ref.accounts.end() && held->second.balance >= amount;
           ASSERT_EQ(ok, ref_ok);
           if (ok) {
             ref.Get(addr).balance -= amount;
@@ -388,6 +390,54 @@ TEST(StateDifferential, CopiedStateDBForksIndependently) {
   ref.Get(AddrFor(3)).balance += 5;
   ref.Get(AddrFor(7)).nonce = 9;
   EXPECT_EQ(fork.StateRoot(), RebuildRoot(ref));
+}
+
+TEST(StateDifferential, OneLeafAtTwoDepthsInTwoVersions) {
+  // A leaf caches its hash with the depth it was hashed at. Here one
+  // leaf node sits at two depths in two live versions: a neighbour
+  // inserted in the copy re-seats it deeper there only, then leaves
+  // again. A cache read at the wrong depth fails a root below.
+  StateDB base;
+  RefState ref_base;
+  for (uint64_t i = 0; i < 64; ++i) {
+    base.Mint(AddrFor(i), 100 + i);
+    ref_base.Get(AddrFor(i)).balance = 100 + i;
+  }
+  const Address leaf = AddrFor(5);
+  Address neighbour = leaf;
+  neighbour.bytes[18] ^= 0x01;  // Shares the first 37 nibbles.
+  ASSERT_EQ(base.StateRoot(), RebuildRoot(ref_base));
+
+  StateDB copy = base;
+  RefState ref_copy = ref_base;
+  auto check_both = [&](const char* step) {
+    SCOPED_TRACE(step);
+    ASSERT_EQ(base.StateRoot(), RebuildRoot(ref_base));
+    ASSERT_EQ(copy.StateRoot(), RebuildRoot(ref_copy));
+  };
+
+  copy.Mint(neighbour, 7);  // `leaf` moves to depth 38 in the copy.
+  ref_copy.Get(neighbour).balance += 7;
+  check_both("neighbour inserted in the copy");
+
+  ASSERT_TRUE(copy.EraseAccount(neighbour));  // Lifts `leaf` back.
+  ASSERT_TRUE(ref_copy.Erase(neighbour));
+  check_both("neighbour erased from the copy");
+
+  copy.Mint(leaf, 1);  // The copy now has its own `leaf` node.
+  ref_copy.Get(leaf).balance += 1;
+  check_both("leaf written in the copy only");
+
+  // Re-seat the base's node under the neighbour in the base, then make
+  // each version re-hash the branch above its own `leaf`.
+  base.Mint(neighbour, 3);
+  ref_base.Get(neighbour).balance += 3;
+  check_both("neighbour inserted in the base");
+  base.Mint(AddrFor(4), 1);
+  ref_base.Get(AddrFor(4)).balance += 1;
+  copy.Mint(AddrFor(4), 2);
+  ref_copy.Get(AddrFor(4)).balance += 2;
+  check_both("siblings written in both");
 }
 
 TEST(StateDifferential, CommitRequiresInnermostSnapshot) {

@@ -43,8 +43,7 @@
 //
 // Like its siblings this is a heuristic token-level scanner on the
 // shared liblint driver, not a compiler plugin: it errs toward
-// flagging, and deliberately unserialized fields (derived caches like
-// Account::digest_valid_) carry
+// flagging, and deliberately unserialized fields (derived caches) carry
 // `// codeclint:allow(<rule>): justification` waivers.
 //
 // Usage:
