@@ -153,16 +153,16 @@ DrainOutcome DrainSerial(const Workload& w, size_t rounds, bool keep_blocks) {
   const auto drain_start = Clock::now();
   for (size_t round = 0; round < rounds; ++round) {
     std::vector<Transaction> cands = pool.TopByFee(w.config.max_txs_per_block);
-    Result<Block> built = ledger.BuildBlock(
+    const Block built = ledger.BuildBlock(
         kMiner, std::move(cands),
         static_cast<uint64_t>(ledger.tip_number() + 1));
-    if (!built.ok() || !ledger.Append(*built).ok()) {
+    if (!ledger.Append(built).ok()) {
       std::fprintf(stderr, "FATAL: serial drain failed at round %zu\n", round);
       std::exit(1);
     }
-    pool.RemoveAll(built->transactions);
-    out.confirmed += built->transactions.size();
-    const Bytes enc = codec::EncodeBlock(*built);
+    pool.RemoveAll(built.transactions);
+    out.confirmed += built.transactions.size();
+    const Bytes enc = codec::EncodeBlock(built);
     digest.Update(enc);
     if (keep_blocks) out.blocks.push_back(enc);
   }

@@ -250,7 +250,7 @@ Hash256 OldStyleBuild(const Ledger& ledger, const Address& miner,
   for (const Transaction& tx : txs) {
     if (included >= ledger.config().max_txs_per_block) break;
     StateDB trial = scratch;
-    if (Ledger::ExecuteTransaction(tx, miner, ledger.config(), &trial).ok()) {
+    if (Ledger::ExecuteTransaction(tx, miner, &trial).ok()) {
       scratch = std::move(trial);
       ++included;
     }
@@ -266,14 +266,14 @@ void BenchBlockBuild(size_t accounts, std::vector<ScenarioResult>* out) {
 
   // Identity gate: the snapshot-trial build must commit to the same root as
   // the copy-everything build.
-  Result<Block> built = ledger.BuildBlock(miner, txs, /*timestamp=*/1);
-  if (!built.ok() || built->transactions.size() != txs.size() ||
-      built->header.state_root != OldStyleBuild(ledger, miner, txs)) {
+  const Block built = ledger.BuildBlock(miner, txs, /*timestamp=*/1);
+  if (built.transactions.size() != txs.size() ||
+      built.header.state_root != OldStyleBuild(ledger, miner, txs)) {
     IdentityFailure("block_build", accounts);
   }
 
   const double new_ops = MeasureOpsPerSec([&] {
-    return ledger.BuildBlock(miner, txs, 1)->header.state_root.Prefix64();
+    return ledger.BuildBlock(miner, txs, 1).header.state_root.Prefix64();
   });
   const double old_ops = MeasureOpsPerSec(
       [&] { return OldStyleBuild(ledger, miner, txs).Prefix64(); });

@@ -156,15 +156,6 @@ echo "==== bench_churn_recovery (handoff verification gate) ===="
 (cd "$prefix-release" && ./bench/bench_churn_recovery)
 echo "artifact: $prefix-release/BENCH_churn.json"
 
-# Parallel in-block execution bench. Also a correctness gate: it aborts
-# unless the lane-scheduled parallel build is byte-identical to the
-# serial build in every (conflict density, threads) cell (DESIGN.md
-# §13). Speedup > 1x needs multi-core hardware; the JSON records
-# hardware_concurrency. Artifact: BENCH_exec.json.
-echo "==== bench_exec_parallel (serial/parallel identity gate) ===="
-(cd "$prefix-release" && ./bench/bench_exec_parallel)
-echo "artifact: $prefix-release/BENCH_exec.json"
-
 # Million-tx mempool/pipeline bench. Also a correctness gate: it aborts
 # unless the pipelined drain is byte-identical to the serial mine loop
 # at every commit-queue depth — blocks, state root, residual pool —

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
-
-#include "chain/executor.h"
+#include <utility>
 
 namespace shardchain {
 
@@ -53,9 +52,9 @@ const StateDB& Ledger::tip_state() const {
 }
 
 Status Ledger::ExecuteTransaction(const Transaction& tx, const Address& miner,
-                                  const ChainConfig& config, StateDB* state) {
+                                  StateDB* state) {
   assert(state != nullptr);
-  if (config.strict_nonces && tx.nonce != state->NonceOf(tx.sender)) {
+  if (tx.nonce != state->NonceOf(tx.sender)) {
     return Status::FailedPrecondition("nonce mismatch for sender " +
                                       tx.sender.ToHex());
   }
@@ -83,7 +82,34 @@ Status Ledger::ExecuteTransaction(const Transaction& tx, const Address& miner,
   return Status::OK();
 }
 
-Status Ledger::Validate(const Block& block, const Node& parent) const {
+std::vector<Transaction> Ledger::ExecuteCandidates(
+    std::vector<Transaction> candidates, const Address& miner,
+    const ChainConfig& config, StateDB* state) {
+  // No bracket per candidate: a failure leaves the state as it found
+  // it, and with no saved root pinning them, the nodes a candidate
+  // clones stay private, so later candidates write them in place and
+  // each path is cloned once per block.
+  std::vector<Transaction> included;
+  for (Transaction& tx : candidates) {
+    if (included.size() >= config.max_txs_per_block) break;
+    if (ExecuteTransaction(tx, miner, state).ok()) {
+      included.push_back(std::move(tx));
+    }
+  }
+  return included;
+}
+
+Result<const Ledger::Node*> Ledger::Admit(const Hash256& hash,
+                                          const Block& block,
+                                          bool check_tx_root) const {
+  if (nodes_.count(hash) > 0) {
+    return Status::AlreadyExists("block already recorded");
+  }
+  auto parent_it = nodes_.find(block.header.parent_hash);
+  if (parent_it == nodes_.end()) {
+    return Status::NotFound("unknown parent block");
+  }
+  const Node& parent = parent_it->second;
   const BlockHeader& h = block.header;
   if (h.shard_id != shard_id_) {
     return Status::Unauthorized("block carries foreign ShardID " +
@@ -97,50 +123,16 @@ Status Ledger::Validate(const Block& block, const Node& parent) const {
   if (block.transactions.size() > config_.max_txs_per_block) {
     return Status::InvalidArgument("block exceeds transaction limit");
   }
-  if (h.tx_root != block.ComputeTxRoot()) {
+  if (check_tx_root && h.tx_root != block.ComputeTxRoot()) {
     return Status::Corruption("tx root does not match block body");
   }
   if (config_.check_pow && !PowValid(h)) {
     return Status::Unauthorized("proof-of-work below difficulty");
   }
-  return Status::OK();
+  return &parent;
 }
 
-Result<Hash256> Ledger::Append(const Block& block) {
-  const Hash256 hash = block.header.Hash();
-  if (nodes_.count(hash) > 0) {
-    return Status::AlreadyExists("block already recorded");
-  }
-  auto parent_it = nodes_.find(block.header.parent_hash);
-  if (parent_it == nodes_.end()) {
-    return Status::NotFound("unknown parent block");
-  }
-  const Node& parent = parent_it->second;
-  SHARDCHAIN_RETURN_IF_ERROR(Validate(block, parent));
-
-  Node node;
-  if (last_built_.has_value() && last_built_->first == hash) {
-    // This exact block (the header hash binds parent, tx root, and
-    // state root) was just produced by BuildBlock on the same tip, and
-    // its post-state — whose StateRoot() already matches the header by
-    // construction — was retained. Reuse it instead of re-executing
-    // the transactions and re-deriving the root a second time.
-    node.post_state = std::move(last_built_->second);
-    last_built_.reset();
-  } else {
-    node.post_state = parent.post_state;
-    for (const Transaction& tx : block.transactions) {
-      SHARDCHAIN_RETURN_IF_ERROR(ExecuteTransaction(
-          tx, block.header.miner, config_, &node.post_state));
-    }
-    node.post_state.Mint(block.header.miner, config_.block_reward);
-    if (block.header.state_root != node.post_state.StateRoot()) {
-      return Status::Corruption("state root mismatch after execution");
-    }
-  }
-  node.block = block;
-  node.height = parent.height + 1;
-
+Hash256 Ledger::Record(const Hash256& hash, Node node) {
   const uint64_t height = node.height;
   nodes_.emplace(hash, std::move(node));
   // Longest-chain rule; strictly longer chains win so the earlier tip
@@ -149,20 +141,55 @@ Result<Hash256> Ledger::Append(const Block& block) {
   return hash;
 }
 
+Result<Hash256> Ledger::Append(const Block& block) {
+  const Hash256 hash = block.header.Hash();
+  // The block BuildBlock just returned: the header hash binds parent,
+  // tx root and state root, and the tx root was computed from this very
+  // body, so the body is not hashed again.
+  const bool built = last_built_.has_value() && last_built_->hash == hash &&
+                     last_built_->block.transactions == block.transactions;
+  const Node* parent = nullptr;
+  SHARDCHAIN_ASSIGN_OR_RETURN(parent,
+                              Admit(hash, block, /*check_tx_root=*/!built));
+  Node node;
+  node.height = parent->height + 1;
+  if (built) {
+    // Record the retained copy and its post-state instead of
+    // re-executing the block and re-deriving the root.
+    node.block = std::move(last_built_->block);
+    node.post_state = std::move(last_built_->post_state);
+    last_built_.reset();
+  } else {
+    node.post_state = parent->post_state;
+    for (const Transaction& tx : block.transactions) {
+      SHARDCHAIN_RETURN_IF_ERROR(
+          ExecuteTransaction(tx, block.header.miner, &node.post_state));
+    }
+    node.post_state.Mint(block.header.miner, config_.block_reward);
+    if (block.header.state_root != node.post_state.StateRoot()) {
+      return Status::Corruption("state root mismatch after execution");
+    }
+    node.block = block;
+  }
+  return Record(hash, std::move(node));
+}
+
 Result<Hash256> Ledger::AppendExecuted(const Block& block,
                                        StateDB post_state) {
-  // Seed the built-block cache and let Append take its fast path: all
-  // structural validation runs, execution and root derivation do not.
-  // (Overwriting an unrelated cached BuildBlock result is fine — that
-  // cache is best-effort.)
-  last_built_.emplace(block.header.Hash(), std::move(post_state));
-  return Append(block);
+  const Hash256 hash = block.header.Hash();
+  const Node* parent = nullptr;
+  SHARDCHAIN_ASSIGN_OR_RETURN(parent,
+                              Admit(hash, block, /*check_tx_root=*/true));
+  Node node;
+  node.block = block;
+  node.post_state = std::move(post_state);
+  node.height = parent->height + 1;
+  return Record(hash, std::move(node));
 }
 
 // flowlint: deterministic-root — consensus entry point (DESIGN.md §7)
-Result<Block> Ledger::BuildBlock(const Address& miner,
-                                 std::vector<Transaction> txs,
-                                 uint64_t timestamp) const {
+Block Ledger::BuildBlock(const Address& miner, std::vector<Transaction> txs,
+                         uint64_t timestamp) const {
   const Node& tip = nodes_.at(tip_hash_);
   Block block;
   block.header.parent_hash = tip_hash_;
@@ -172,16 +199,16 @@ Result<Block> Ledger::BuildBlock(const Address& miner,
   block.header.timestamp = timestamp;
 
   StateDB scratch = tip.post_state;
-  SHARDCHAIN_ASSIGN_OR_RETURN(
-      block.transactions,
-      ExecuteCandidates(std::move(txs), miner, config_, exec_pool_, &scratch));
+  block.transactions =
+      ExecuteCandidates(std::move(txs), miner, config_, &scratch);
   scratch.Mint(miner, config_.block_reward);
 
   block.header.tx_root = block.ComputeTxRoot();
   block.header.state_root = scratch.StateRoot();
-  // Retain the executed post-state so an immediate Append of this very
-  // block (the common mine-then-record path) can skip re-execution.
-  last_built_.emplace(block.header.Hash(), std::move(scratch));
+  // Retain the block and its executed post-state so an immediate Append
+  // of this very block (the common mine-then-record path) records them
+  // as they are.
+  last_built_.emplace(Built{block.header.Hash(), block, std::move(scratch)});
   return block;
 }
 

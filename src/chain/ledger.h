@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -23,7 +22,6 @@ struct ChainConfig {
   Amount block_reward = 2'000'000'000;  ///< Paid per block, empty or not.
   uint64_t max_txs_per_block = 10;      ///< Paper: gas limit 0x300000 ≈ 10 txs.
   bool check_pow = false;               ///< Verify header hash vs difficulty.
-  bool strict_nonces = true;            ///< Enforce per-sender nonce order.
 };
 
 /// \brief Per-shard ledger: a block tree with longest-chain fork choice,
@@ -59,6 +57,9 @@ class Ledger {
   ///    is hashed; tx_root must match the body; optional PoW check;
   ///  - every transaction must execute successfully on the parent state
   ///    (fees + block reward credited to the miner).
+  /// The block BuildBlock just returned (same header hash, equal body)
+  /// is recorded from the retained copy: its tx root and post-state were
+  /// derived from that body, so neither is computed again.
   /// On success the block joins the tree and fork choice may advance
   /// the tip. Returns the block hash.
   [[nodiscard]] Result<Hash256> Append(const Block& block);
@@ -68,34 +69,28 @@ class Ledger {
   /// the second StateRoot() derivation. The caller vouches that
   /// `post_state` is exactly the result of executing the block on its
   /// parent state and that `block.header.state_root` was derived from
-  /// it — the same trust Append already extends to BuildBlock's cached
+  /// it — the same trust Append already extends to BuildBlock's retained
   /// post-state. Structural validation (parent link, number, tx root,
   /// shard id, PoW) still runs.
   [[nodiscard]] Result<Hash256> AppendExecuted(const Block& block,
                                               StateDB post_state);
 
   /// Convenience: builds a valid block on the current tip from `txs`,
-  /// executing them to fill in the roots. Candidates are packed by the
-  /// block executor (chain/executor.h): each one that executes is kept,
-  /// in order, up to max_txs_per_block, mirroring a miner dropping
-  /// invalid txs while packing. Does not append. Fails only on internal
-  /// invariant violations (snapshot bracket errors, a write set
-  /// escaping its derived footprint) — never on individual invalid
-  /// candidates.
-  ///
-  /// With SetExecPool, non-conflicting candidates execute concurrently
-  /// on conflict-graph lanes — the block bytes, inclusion decisions,
-  /// and state root are bitwise identical either way. The executed
-  /// post-state is retained so Append of the freshly built block skips
-  /// re-execution and the second StateRoot() derivation.
-  [[nodiscard]] Result<Block> BuildBlock(const Address& miner,
-                                         std::vector<Transaction> txs,
-                                         uint64_t timestamp) const;
+  /// executing them to fill in the roots. Candidates are packed by
+  /// ExecuteCandidates: each one that executes is kept, in order, up to
+  /// max_txs_per_block, mirroring a miner dropping invalid txs while
+  /// packing, so building cannot fail. Does not append. The block and
+  /// its executed post-state are retained, so Append of this very block
+  /// skips re-execution, the tx-root hash and the second StateRoot()
+  /// derivation.
+  [[nodiscard]] Block BuildBlock(const Address& miner,
+                                 std::vector<Transaction> txs,
+                                 uint64_t timestamp) const;
 
-  /// Installs the thread pool BuildBlock hands the block executor for
-  /// lane-parallel candidate execution (nullptr = serial greedy loop).
-  /// Never consensus-visible.
-  void SetExecPool(ThreadPool* pool) { exec_pool_ = pool; }
+  /// Does nothing: blocks execute on one thread (DESIGN.md §13). Kept
+  /// for the benchmark harness in perfbench/, which still calls it and
+  /// changes only together with the benchmark; nothing in src/ does.
+  void SetExecPool(ThreadPool* /*pool*/) {}
 
   bool Contains(const Hash256& block_hash) const;
   const Block* Find(const Hash256& block_hash) const;
@@ -138,8 +133,19 @@ class Ledger {
   /// deploy runs its fee and action in one snapshot bracket.
   [[nodiscard]] static Status ExecuteTransaction(const Transaction& tx,
                                                  const Address& miner,
-                                                 const ChainConfig& config,
                                                  StateDB* state);
+
+  /// The block executor (DESIGN.md §13), behind BuildBlock and the
+  /// BlockPipeline producer: greedy inclusion in place (Sec. IV-B).
+  /// Keeps, in candidate order, each candidate that executes on
+  /// `*state`, up to `config.max_txs_per_block`, and returns the kept
+  /// transactions. `*state` ends holding their effects and fee credits,
+  /// with no block reward; the caller mints that. A failed candidate
+  /// leaves `*state` as it found it, so this opens no snapshot and
+  /// composes with one the caller holds open.
+  [[nodiscard]] static std::vector<Transaction> ExecuteCandidates(
+      std::vector<Transaction> candidates, const Address& miner,
+      const ChainConfig& config, StateDB* state);
 
  private:
   struct Node {
@@ -148,18 +154,29 @@ class Ledger {
     uint64_t height = 0;
   };
 
-  [[nodiscard]] Status Validate(const Block& block,
-                                const Node& parent) const;
+  /// The most recent BuildBlock result.
+  struct Built {
+    Hash256 hash;  ///< Header hash: binds parent, tx root and state root.
+    Block block;
+    StateDB post_state;
+  };
 
-  /// Post-state of the most recent BuildBlock, keyed by its header
-  /// hash (which commits to the parent, tx root, and state root).
+  /// The parent of `block`, once the block passes every check Append
+  /// lists that needs no execution. `check_tx_root` is false only for a
+  /// body whose tx root this ledger computed itself (BuildBlock).
+  [[nodiscard]] Result<const Node*> Admit(const Hash256& hash,
+                                          const Block& block,
+                                          bool check_tx_root) const;
+
+  /// Stores `node` under `hash`; fork choice may advance the tip.
+  Hash256 Record(const Hash256& hash, Node node);
+
   /// Consumed by Append when the same block comes straight back, so
-  /// the build→append path executes and hashes the state once, not
+  /// the build→append path executes and hashes the block once, not
   /// twice. Mutable: retaining it is a cache, not an observable state
   /// change of the const BuildBlock.
-  mutable std::optional<std::pair<Hash256, StateDB>> last_built_;
+  mutable std::optional<Built> last_built_;
 
-  ThreadPool* exec_pool_ = nullptr;
   ShardId shard_id_;
   ChainConfig config_;
   Hash256 genesis_hash_;

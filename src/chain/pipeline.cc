@@ -3,7 +3,6 @@
 #include <exception>
 #include <utility>
 
-#include "chain/executor.h"
 #include "parallel/async_worker.h"
 
 namespace shardchain {
@@ -45,15 +44,13 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
   {
     AsyncWorker committer(config_.max_queued_blocks);
     for (size_t round = 0; round < count; ++round) {
-      // Greedy inclusion in place on exec_state: the block executor's
-      // serial loop (no pool — the producer stays serial, DESIGN.md §14).
+      // Greedy inclusion in place on exec_state: the block executor
+      // BuildBlock also packs with (DESIGN.md §13).
       // parlint:allow(unbalanced-snapshot): delta-collection bracket, always committed, never reverted
       const size_t outer = exec_state.Snapshot();
-      std::vector<Transaction> included;
-      SHARDCHAIN_ASSIGN_OR_RETURN(
-          included,
-          ExecuteCandidates(pool_->TopByFee(config.max_txs_per_block), miner,
-                            config, /*pool=*/nullptr, &exec_state));
+      std::vector<Transaction> included = Ledger::ExecuteCandidates(
+          pool_->TopByFee(config.max_txs_per_block), miner, config,
+          &exec_state);
       exec_state.Mint(miner, config.block_reward);
 
       // Value-snapshot this block's account delta for the worker (a

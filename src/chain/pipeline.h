@@ -37,9 +37,8 @@ struct PipelineResult {
 ///
 ///  - the CALLING thread selects block N+1's candidates and packs them
 ///    in place on a persistent execution state with the block executor
-///    (chain/executor.h, serial loop — the same code as
-///    Ledger::BuildBlock), then value-snapshots the block's account
-///    delta (TouchedSince);
+///    (Ledger::ExecuteCandidates, the same code as Ledger::BuildBlock),
+///    then value-snapshots the block's account delta (TouchedSince);
 ///  - an AsyncWorker (parallel/async_worker.h) replays each delta onto
 ///    a shadow commit state, derives the state root, finalizes the
 ///    header (parent hash chaining is worker-local, FIFO), and keeps an
@@ -55,7 +54,7 @@ struct PipelineResult {
 /// serial path's. The worker is a single FIFO thread, so header
 /// chaining and append order are the submission order. Hence blocks are
 /// byte-identical to the serial loop at any queue depth
-/// (tests/pipeline_equivalence_test.cc pins this across thread counts).
+/// (tests/pipeline_equivalence_test.cc pins this).
 ///
 /// The ledger and pool must not be accessed externally while Run() is
 /// in flight (Run itself is synchronous; the worker only touches state

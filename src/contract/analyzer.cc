@@ -279,27 +279,6 @@ AnalysisReport AnalyzeProgram(const ContractProgram& program) {
   return report;
 }
 
-std::optional<PartyFootprint> AnalyzePartyFootprint(
-    const ContractProgram& program) {
-  const Bytes& code = program.code;
-  PartyFootprint fp;
-  size_t pc = 0;
-  while (pc < code.size()) {
-    const Op op = static_cast<Op>(code[pc]);
-    if (!EffectOf(op).has_value()) return std::nullopt;
-    const size_t size = InstructionSize(op);
-    if (pc + size > code.size()) return std::nullopt;
-    if (op == Op::kTransfer) fp.all_parties = true;
-    if (op == Op::kPartyBalance) fp.party_indices.push_back(code[pc + 1]);
-    pc += size;
-  }
-  std::sort(fp.party_indices.begin(), fp.party_indices.end());
-  fp.party_indices.erase(
-      std::unique(fp.party_indices.begin(), fp.party_indices.end()),
-      fp.party_indices.end());
-  return fp;
-}
-
 Status ValidateProgram(const ContractProgram& program) {
   const AnalysisReport report = AnalyzeProgram(program);
   if (!report.valid) {

@@ -46,30 +46,6 @@ AnalysisReport AnalyzeProgram(const ContractProgram& program);
 /// stack underflow and all referenced parties/args resolvable.
 Status ValidateProgram(const ContractProgram& program);
 
-/// \brief Which of a program's parties a call may read or write, from a
-/// static scan of its balance/transfer opcodes.
-///
-/// Used by the conflict-aware block builder (DESIGN.md §13) to bound a
-/// contract call's account footprint beyond the always-touched caller
-/// and contract accounts. `kTransfer` takes its party index from the
-/// stack, so any occurrence makes every party potentially written
-/// (`all_parties`); `kPartyBalance` carries a static immediate, so its
-/// reads are listed exactly.
-struct PartyFootprint {
-  /// True when some execution may credit any party (dynamic kTransfer
-  /// index): treat every party as written.
-  bool all_parties = false;
-  /// Party indices read via static kPartyBalance immediates, sorted and
-  /// deduplicated. Meaningless when all_parties is set.
-  std::vector<uint8_t> party_indices;
-};
-
-/// Returns the party footprint, or nullopt when the code does not
-/// decode (the caller must then treat the footprint as unresolvable and
-/// serialize the transaction).
-std::optional<PartyFootprint> AnalyzePartyFootprint(
-    const ContractProgram& program);
-
 }  // namespace shardchain
 
 #endif  // SHARDCHAIN_CONTRACT_ANALYZER_H_

@@ -277,9 +277,6 @@ ShardingSystem::ShardState& ShardingSystem::GetOrCreateShard(ShardId shard) {
     ShardState state;
     state.ledger =
         std::make_unique<Ledger>(shard, genesis_state_, config_.chain);
-    // Conflict-aware parallel block packing (DESIGN.md §13): block
-    // bytes stay identical to serial at any thread count.
-    state.ledger->SetExecPool(pool_.get());
     it = shards_.emplace(shard, std::move(state)).first;
   }
   return it->second;
@@ -318,40 +315,40 @@ Result<ShardId> ShardingSystem::SubmitTransaction(const Transaction& tx) {
   return shard;
 }
 
-Result<Hash256> ShardingSystem::MineBlock(NodeId miner) {
+Result<ShardingSystem::Packer> ShardingSystem::AdmitPacker(NodeId miner) {
   if (!epoch_active_) {
     return Status::FailedPrecondition("no active epoch");
   }
   if (miner >= miners_.size()) {
     return Status::InvalidArgument("unknown miner");
   }
-  MinerRecord& record = miners_[miner];
+  const MinerRecord& record = miners_[miner];
   if (record.status == MinerStatus::kPending) {
     return Status::Unauthorized("miner enters at the next epoch boundary");
   }
   if (record.status == MinerStatus::kDeparted) {
     return Status::Unauthorized("miner has departed");
   }
-  const ShardId shard = ResolveShard(record.shard);
-
   // The membership check every receiver would also run (Sec. III-C):
   // proves this miner may pack for this ShardID.
   SHARDCHAIN_RETURN_IF_ERROR(VerifyShardMembership(
       randomness_, record.id, fractions_, record.shard));
+  const ShardId shard = ResolveShard(record.shard);
+  return Packer{shard, &GetOrCreateShard(shard),
+                Address::FromHash(record.id)};
+}
 
-  ShardState& state = GetOrCreateShard(shard);
-  const Address coinbase = Address::FromHash(record.id);
-  std::vector<Transaction> candidates =
-      state.pool.TopByFee(config_.chain.max_txs_per_block);
-  Block block;
-  SHARDCHAIN_ASSIGN_OR_RETURN(
-      block, state.ledger->BuildBlock(
-                 coinbase, std::move(candidates),
-                 static_cast<uint64_t>(state.ledger->tip_number() + 1)));
+Result<Hash256> ShardingSystem::MineBlock(NodeId miner) {
+  Packer packer;
+  SHARDCHAIN_ASSIGN_OR_RETURN(packer, AdmitPacker(miner));
+  ShardState& state = *packer.state;
+  const Block block = state.ledger->BuildBlock(
+      packer.coinbase, state.pool.TopByFee(config_.chain.max_txs_per_block),
+      static_cast<uint64_t>(state.ledger->tip_number() + 1));
   Result<Hash256> appended = state.ledger->Append(block);
   if (!appended.ok()) return appended.status();
   state.pool.RemoveAll(block.transactions);
-  net_.MulticastShard(miner, shard, MsgKind::kBlockGossip);
+  net_.MulticastShard(miner, packer.shard, MsgKind::kBlockGossip);
   return appended;
 }
 
@@ -368,32 +365,15 @@ std::vector<Status> ShardingSystem::SubmitTransactionBatch(
 
 Result<std::vector<Hash256>> ShardingSystem::MineBlocksPipelined(NodeId miner,
                                                                  size_t count) {
-  // Same authorization gauntlet as MineBlock — one check covers the
-  // whole run, since membership cannot change inside a synchronous call.
-  if (!epoch_active_) {
-    return Status::FailedPrecondition("no active epoch");
-  }
-  if (miner >= miners_.size()) {
-    return Status::InvalidArgument("unknown miner");
-  }
-  MinerRecord& record = miners_[miner];
-  if (record.status == MinerStatus::kPending) {
-    return Status::Unauthorized("miner enters at the next epoch boundary");
-  }
-  if (record.status == MinerStatus::kDeparted) {
-    return Status::Unauthorized("miner has departed");
-  }
-  const ShardId shard = ResolveShard(record.shard);
-  SHARDCHAIN_RETURN_IF_ERROR(VerifyShardMembership(
-      randomness_, record.id, fractions_, record.shard));
-
-  ShardState& state = GetOrCreateShard(shard);
-  const Address coinbase = Address::FromHash(record.id);
-  BlockPipeline pipeline(state.ledger.get(), &state.pool);
+  // One admission covers the whole run: membership cannot change inside
+  // a synchronous call.
+  Packer packer;
+  SHARDCHAIN_ASSIGN_OR_RETURN(packer, AdmitPacker(miner));
+  BlockPipeline pipeline(packer.state->ledger.get(), &packer.state->pool);
   PipelineResult produced;
-  SHARDCHAIN_ASSIGN_OR_RETURN(produced, pipeline.Run(coinbase, count));
+  SHARDCHAIN_ASSIGN_OR_RETURN(produced, pipeline.Run(packer.coinbase, count));
   for (size_t i = 0; i < produced.hashes.size(); ++i) {
-    net_.MulticastShard(miner, shard, MsgKind::kBlockGossip);
+    net_.MulticastShard(miner, packer.shard, MsgKind::kBlockGossip);
   }
   return produced.hashes;
 }
@@ -661,8 +641,8 @@ IterativeMergeResult ShardingSystem::MergeSmallShards() {
       const ShardId source = small_ids[idx];
       if (source == target) continue;
       // Authenticated state handoff BEFORE the pool moves: senders with
-      // advanced nonces on the source chain keep executing on the
-      // merged shard (strict_nonces) instead of silently dropping.
+      // advanced nonces on the source chain keep passing the nonce check
+      // on the merged shard instead of silently dropping.
       Status migrated = MigrateShardState(source, target);
       assert(migrated.ok());
       (void)migrated;

@@ -297,8 +297,23 @@ class ShardingSystem {
     std::optional<ShardId> merged_into;
   };
 
+  /// A miner cleared to pack: its resolved shard, that shard's state,
+  /// and the coinbase its fees and rewards go to.
+  struct Packer {
+    ShardId shard = kMaxShardId;
+    ShardState* state = nullptr;
+    Address coinbase;
+  };
+
   ShardState& GetOrCreateShard(ShardId shard);
   ShardId ResolveShard(ShardId shard) const;
+
+  /// The checks MineBlock and MineBlocksPipelined run before packing: an
+  /// active epoch (FailedPrecondition), a known miner (InvalidArgument)
+  /// that is serving, neither a pending joiner nor departed
+  /// (Unauthorized), and the Sec. III-C shard membership every receiver
+  /// also checks.
+  Result<Packer> AdmitPacker(NodeId miner);
 
   /// Epoch-boundary churn: pending joiners activate, retiring miners
   /// depart (and leave the network's membership view).

@@ -63,6 +63,8 @@ struct Transaction {
   /// Total number of accounts touched (sender + inputs); the paper's
   /// "number of inputs" for a k-input transaction.
   size_t InputCount() const { return 1 + input_accounts.size(); }
+
+  friend bool operator==(const Transaction&, const Transaction&) = default;
 };
 
 }  // namespace shardchain

@@ -34,15 +34,6 @@ StateDB FundedState() {
   return state;
 }
 
-/// BuildBlock returns Result<Block> (snapshot bracket failures
-/// propagate); the happy-path tests unwrap it.
-Block MustBuild(const Ledger& ledger, const Address& miner,
-                std::vector<Transaction> txs, uint64_t timestamp) {
-  Result<Block> built = ledger.BuildBlock(miner, std::move(txs), timestamp);
-  EXPECT_TRUE(built.ok()) << built.status().ToString();
-  return *std::move(built);
-}
-
 // ---------------------------- TxPool -----------------------------------
 
 TEST(TxPoolTest, AddAndContains) {
@@ -122,7 +113,7 @@ TEST(LedgerTest, GenesisIsCanonical) {
 TEST(LedgerTest, BuildAndAppendBlock) {
   Ledger ledger(1, FundedState());
   const Address miner = Addr(9);
-  Block block = MustBuild(ledger, miner, {Pay(Addr(1), Addr(2), 100, 10)}, 1);
+  Block block = ledger.BuildBlock(miner, {Pay(Addr(1), Addr(2), 100, 10)}, 1);
   ASSERT_EQ(block.transactions.size(), 1u);
   Result<Hash256> hash = ledger.Append(block);
   ASSERT_TRUE(hash.ok()) << hash.status().ToString();
@@ -136,7 +127,7 @@ TEST(LedgerTest, BuildAndAppendBlock) {
 
 TEST(LedgerTest, AppendRejectsForeignShardId) {
   Ledger ledger(1, FundedState());
-  Block block = MustBuild(ledger, Addr(9), {}, 1);
+  Block block = ledger.BuildBlock(Addr(9), {}, 1);
   block.header.shard_id = 2;
   block.header.tx_root = block.ComputeTxRoot();
   EXPECT_TRUE(ledger.Append(block).status().IsUnauthorized());
@@ -144,21 +135,21 @@ TEST(LedgerTest, AppendRejectsForeignShardId) {
 
 TEST(LedgerTest, AppendRejectsUnknownParent) {
   Ledger ledger(1, FundedState());
-  Block block = MustBuild(ledger, Addr(9), {}, 1);
+  Block block = ledger.BuildBlock(Addr(9), {}, 1);
   block.header.parent_hash = Sha256Digest("nowhere");
   EXPECT_TRUE(ledger.Append(block).status().IsNotFound());
 }
 
 TEST(LedgerTest, AppendRejectsBadTxRoot) {
   Ledger ledger(1, FundedState());
-  Block block = MustBuild(ledger, Addr(9), {Pay(Addr(1), Addr(2), 1, 1)}, 1);
+  Block block = ledger.BuildBlock(Addr(9), {Pay(Addr(1), Addr(2), 1, 1)}, 1);
   block.header.tx_root = Sha256Digest("lies");
   EXPECT_TRUE(ledger.Append(block).status().IsCorruption());
 }
 
 TEST(LedgerTest, AppendRejectsBadStateRoot) {
   Ledger ledger(1, FundedState());
-  Block block = MustBuild(ledger, Addr(9), {Pay(Addr(1), Addr(2), 1, 1)}, 1);
+  Block block = ledger.BuildBlock(Addr(9), {Pay(Addr(1), Addr(2), 1, 1)}, 1);
   block.header.state_root = Sha256Digest("lies");
   block.header.tx_root = block.ComputeTxRoot();
   EXPECT_TRUE(ledger.Append(block).status().IsCorruption());
@@ -166,7 +157,7 @@ TEST(LedgerTest, AppendRejectsBadStateRoot) {
 
 TEST(LedgerTest, AppendRejectsDuplicate) {
   Ledger ledger(1, FundedState());
-  Block block = MustBuild(ledger, Addr(9), {}, 1);
+  Block block = ledger.BuildBlock(Addr(9), {}, 1);
   ASSERT_TRUE(ledger.Append(block).ok());
   EXPECT_TRUE(ledger.Append(block).status().IsAlreadyExists());
 }
@@ -175,7 +166,7 @@ TEST(LedgerTest, AppendRejectsOverfullBlock) {
   ChainConfig config;
   config.max_txs_per_block = 2;
   Ledger ledger(1, FundedState(), config);
-  Block block = MustBuild(ledger, Addr(9), {}, 1);
+  Block block = ledger.BuildBlock(Addr(9), {}, 1);
   for (uint64_t n = 0; n < 3; ++n) {
     block.transactions.push_back(Pay(Addr(1), Addr(2), 1, 1, n));
   }
@@ -189,7 +180,7 @@ TEST(LedgerTest, AppendRejectsOverfullBlockBeforeHashing) {
   ChainConfig config;
   config.max_txs_per_block = 2;
   Ledger ledger(1, FundedState(), config);
-  Block block = MustBuild(ledger, Addr(9), {}, 1);
+  Block block = ledger.BuildBlock(Addr(9), {}, 1);
   for (uint64_t n = 0; n < 3; ++n) {
     block.transactions.push_back(Pay(Addr(1), Addr(2), 1, 1, n));
   }
@@ -207,7 +198,7 @@ TEST(LedgerTest, BuildBlockRespectsCapacityAndSkipsInvalid) {
   for (uint64_t n = 0; n < 5; ++n) {
     txs.push_back(Pay(Addr(1), Addr(2), 10, 1, n));
   }
-  Block block = MustBuild(ledger, Addr(9), txs, 1);
+  Block block = ledger.BuildBlock(Addr(9), txs, 1);
   EXPECT_EQ(block.transactions.size(), 3u);
   for (const auto& tx : block.transactions) EXPECT_EQ(tx.sender, Addr(1));
   EXPECT_TRUE(ledger.Append(block).ok());
@@ -216,23 +207,23 @@ TEST(LedgerTest, BuildBlockRespectsCapacityAndSkipsInvalid) {
 TEST(LedgerTest, NonceOrderEnforced) {
   Ledger ledger(1, FundedState());
   // Nonce 1 before nonce 0 is rejected by execution; BuildBlock skips it.
-  Block block = MustBuild(ledger, Addr(9), {Pay(Addr(1), Addr(2), 1, 1, 1)}, 1);
+  Block block = ledger.BuildBlock(Addr(9), {Pay(Addr(1), Addr(2), 1, 1, 1)}, 1);
   EXPECT_TRUE(block.transactions.empty());
 }
 
 TEST(LedgerTest, ForkChoiceLongestChainWins) {
   Ledger ledger(1, FundedState());
   // Chain A: one block on genesis.
-  Block a1 = MustBuild(ledger, Addr(9), {}, 1);
+  Block a1 = ledger.BuildBlock(Addr(9), {}, 1);
   ASSERT_TRUE(ledger.Append(a1).ok());
   const Hash256 tip_a = ledger.tip_hash();
 
   // Chain B: two blocks, also rooted at genesis (different miner so the
   // headers differ).
   Ledger shadow(1, FundedState());
-  Block b1 = MustBuild(shadow, Addr(8), {}, 1);
+  Block b1 = shadow.BuildBlock(Addr(8), {}, 1);
   ASSERT_TRUE(shadow.Append(b1).ok());
-  Block b2 = MustBuild(shadow, Addr(8), {}, 2);
+  Block b2 = shadow.BuildBlock(Addr(8), {}, 2);
 
   ASSERT_TRUE(ledger.Append(b1).ok());
   // Same-height sibling does not displace the tip.
@@ -246,12 +237,12 @@ TEST(LedgerTest, ForkChoiceLongestChainWins) {
 
 TEST(LedgerTest, EmptyBlockCounting) {
   Ledger ledger(1, FundedState());
-  ASSERT_TRUE(ledger.Append(MustBuild(ledger, Addr(9), {}, 1)).ok());
+  ASSERT_TRUE(ledger.Append(ledger.BuildBlock(Addr(9), {}, 1)).ok());
   ASSERT_TRUE(
       ledger
-          .Append(MustBuild(ledger, Addr(9), {Pay(Addr(1), Addr(2), 1, 1)}, 2))
+          .Append(ledger.BuildBlock(Addr(9), {Pay(Addr(1), Addr(2), 1, 1)}, 2))
           .ok());
-  ASSERT_TRUE(ledger.Append(MustBuild(ledger, Addr(9), {}, 3)).ok());
+  ASSERT_TRUE(ledger.Append(ledger.BuildBlock(Addr(9), {}, 3)).ok());
   EXPECT_EQ(ledger.CanonicalEmptyBlocks(), 2u);
   EXPECT_EQ(ledger.CanonicalTxCount(), 1u);
 }
@@ -270,7 +261,7 @@ TEST(LedgerTest, ContractCallExecutesInBlock) {
   call.recipient = *contract;
   call.value = 400;
   call.fee = 10;
-  Block block = MustBuild(ledger, Addr(9), {call}, 1);
+  Block block = ledger.BuildBlock(Addr(9), {call}, 1);
   ASSERT_EQ(block.transactions.size(), 1u);
   ASSERT_TRUE(ledger.Append(block).ok());
   EXPECT_EQ(ledger.tip_state().BalanceOf(Addr(2)), 400u);
@@ -283,7 +274,7 @@ TEST(LedgerTest, DeployTransactionCreatesContract) {
   deploy.sender = Addr(1);
   deploy.fee = 5;
   deploy.payload = contracts::UnconditionalTransfer(Addr(2)).Serialize();
-  Block block = MustBuild(ledger, Addr(9), {deploy}, 1);
+  Block block = ledger.BuildBlock(Addr(9), {deploy}, 1);
   ASSERT_EQ(block.transactions.size(), 1u);
   ASSERT_TRUE(ledger.Append(block).ok());
   const Address expected = Address::ForContract(Addr(1), 0);
@@ -294,7 +285,7 @@ TEST(LedgerTest, PowCheckedWhenConfigured) {
   ChainConfig config;
   config.check_pow = true;
   Ledger ledger(1, FundedState(), config);
-  Block block = MustBuild(ledger, Addr(9), {}, 1);
+  Block block = ledger.BuildBlock(Addr(9), {}, 1);
   block.header.difficulty = 256;
   // Unsolved header almost surely fails the difficulty check.
   if (!pow::CheckPow(block.header)) {
@@ -313,11 +304,11 @@ TEST(LedgerTest, LastBuiltCacheHitOnImmediateAppend) {
   // satisfy the header's root and leave the tip fully consistent.
   Ledger ledger(1, FundedState());
   const Address miner = Addr(9);
-  Block block = MustBuild(ledger, miner, {Pay(Addr(1), Addr(2), 50, 5)}, 1);
+  Block block = ledger.BuildBlock(miner, {Pay(Addr(1), Addr(2), 50, 5)}, 1);
   ASSERT_TRUE(ledger.Append(block).ok());
   EXPECT_EQ(ledger.tip_state().StateRoot(), block.header.state_root);
   // The cache is consumed: a second build-append cycle works on top.
-  Block next = MustBuild(ledger, miner, {Pay(Addr(2), Addr(1), 7, 2)}, 2);
+  Block next = ledger.BuildBlock(miner, {Pay(Addr(2), Addr(1), 7, 2)}, 2);
   ASSERT_TRUE(ledger.Append(next).ok());
   EXPECT_EQ(ledger.tip_number(), 2u);
 }
@@ -330,10 +321,10 @@ TEST(LedgerTest, LastBuiltCacheMissFallsBackToReExecution) {
   Ledger shadow(1, FundedState());
   const Address miner = Addr(9);
   // Prime the cache with block A...
-  Block a = MustBuild(ledger, miner, {Pay(Addr(1), Addr(2), 50, 5)}, 1);
+  Block a = ledger.BuildBlock(miner, {Pay(Addr(1), Addr(2), 50, 5)}, 1);
   // ...then append B (same parent, different timestamp => different
   // hash), which the cache cannot serve.
-  Block b = MustBuild(shadow, miner, {Pay(Addr(1), Addr(2), 50, 5)}, 2);
+  Block b = shadow.BuildBlock(miner, {Pay(Addr(1), Addr(2), 50, 5)}, 2);
   ASSERT_NE(a.header.Hash(), b.header.Hash());
   ASSERT_TRUE(ledger.Append(b).ok());
   ASSERT_TRUE(shadow.Append(b).ok());
@@ -351,11 +342,28 @@ TEST(LedgerTest, ImportAccountInvalidatesBuildCache) {
   // cache is dropped, re-execution runs from the mutated tip, and the
   // root check rejects the now-inconsistent block.
   Ledger ledger(1, FundedState());
-  Block block = MustBuild(ledger, Addr(9), {Pay(Addr(1), Addr(2), 50, 5)}, 1);
+  Block block = ledger.BuildBlock(Addr(9), {Pay(Addr(1), Addr(2), 50, 5)}, 1);
   Account imported;
   imported.balance = 777;
   ASSERT_TRUE(ledger.ImportAccount(Addr(7), imported).ok());
   EXPECT_TRUE(ledger.Append(block).status().IsCorruption());
+}
+
+TEST(LedgerTest, AppendRejectsBuiltHeaderOverChangedBody) {
+  // Append records the block BuildBlock just returned without hashing
+  // its body again, but only when the body equals the built one. The
+  // built header over a body with one fee changed must still fail the
+  // tx-root check, and leave the built block appendable.
+  Ledger ledger(1, FundedState());
+  Block block = ledger.BuildBlock(
+      Addr(9), {Pay(Addr(1), Addr(2), 50, 5), Pay(Addr(2), Addr(1), 7, 2)}, 1);
+  ASSERT_EQ(block.transactions.size(), 2u);
+  block.transactions[1].fee += 1;
+  EXPECT_TRUE(ledger.Append(block).status().IsCorruption());
+  EXPECT_EQ(ledger.tip_number(), 0u);
+  block.transactions[1].fee -= 1;
+  ASSERT_TRUE(ledger.Append(block).ok());
+  EXPECT_EQ(ledger.tip_state().StateRoot(), block.header.state_root);
 }
 
 TEST(LedgerTest, BuildBlockRevertsFailingCandidateMidStream) {
@@ -371,15 +379,15 @@ TEST(LedgerTest, BuildBlockRevertsFailingCandidateMidStream) {
   bad_call.kind = TxKind::kContractCall;  // No code at 0x66: VM error.
 
   Ledger ledger(1, genesis);
-  Block with_failure = MustBuild(
-      ledger, miner,
+  Block with_failure = ledger.BuildBlock(
+      miner,
       {Pay(Addr(1), Addr(2), 100, 10), bad_call, Pay(Addr(2), Addr(1), 30, 3)},
       1);
 
   Ledger shadow(1, genesis);
-  Block reference = MustBuild(
-      shadow, miner,
-      {Pay(Addr(1), Addr(2), 100, 10), Pay(Addr(2), Addr(1), 30, 3)}, 1);
+  Block reference = shadow.BuildBlock(
+      miner, {Pay(Addr(1), Addr(2), 100, 10), Pay(Addr(2), Addr(1), 30, 3)},
+      1);
 
   ASSERT_EQ(with_failure.transactions.size(), 2u);
   EXPECT_EQ(codec::EncodeBlock(with_failure), codec::EncodeBlock(reference));
@@ -436,7 +444,7 @@ TEST(LedgerTest, FailedTransactionLeavesStateUnchanged) {
     const size_t accounts = state.AccountCount();
     const std::vector<Address> addresses = state.Addresses();
     EXPECT_FALSE(
-        Ledger::ExecuteTransaction(c.tx, miner, ChainConfig{}, &state).ok());
+        Ledger::ExecuteTransaction(c.tx, miner, &state).ok());
     EXPECT_EQ(state.StateRoot(), root);
     EXPECT_EQ(state.AccountCount(), accounts);
     EXPECT_EQ(state.Addresses(), addresses);

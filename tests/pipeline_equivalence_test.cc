@@ -2,11 +2,10 @@
 // parallel, runs under the TSan CI leg): BlockPipeline must emit
 // byte-identical block encodings, state roots, and residual pool
 // contents to the serial select → build → append → remove loop, across
-// exec-pool thread counts {1, 2, 4, 8}, commit-queue depths {1, 2, 4},
-// and seeded workloads with fee ties, nonce chains, and invalid
-// candidates. Also units for the AsyncWorker pipelining primitive
-// (FIFO order, backpressure, error poisoning) and the crypto
-// VerifyBatch thread-count invariance (DESIGN.md §14).
+// commit-queue depths {1, 2, 4} and seeded workloads with fee ties,
+// nonce chains, and invalid candidates. Also units for the AsyncWorker
+// pipelining primitive (FIFO order, backpressure, error poisoning) and
+// the crypto VerifyBatch thread-count invariance (DESIGN.md §14).
 
 #include <atomic>
 #include <chrono>
@@ -206,21 +205,19 @@ struct Outcome {
 constexpr size_t kBlocksToMine = 8;
 const Address kMiner = Addr(0xaa);
 
-Outcome MineSerial(const Scenario& s, ThreadPool* exec_pool) {
+Outcome MineSerial(const Scenario& s) {
   Ledger ledger(/*shard_id=*/3, s.genesis, s.config);
-  ledger.SetExecPool(exec_pool);
   TxPool pool(/*capacity=*/1 << 20, /*chunk_capacity=*/16);
   for (const Transaction& tx : s.txs) (void)pool.Add(tx);
   Outcome out;
   for (size_t b = 0; b < kBlocksToMine; ++b) {
     std::vector<Transaction> cands = pool.TopByFee(s.config.max_txs_per_block);
-    Result<Block> built = ledger.BuildBlock(
+    const Block built = ledger.BuildBlock(
         kMiner, std::move(cands),
         static_cast<uint64_t>(ledger.tip_number() + 1));
-    EXPECT_TRUE(built.ok()) << built.status().message();
-    EXPECT_TRUE(ledger.Append(*built).ok());
-    pool.RemoveAll(built->transactions);
-    out.blocks.push_back(codec::EncodeBlock(*built));
+    EXPECT_TRUE(ledger.Append(built).ok());
+    pool.RemoveAll(built.transactions);
+    out.blocks.push_back(codec::EncodeBlock(built));
   }
   out.root = ledger.tip_state().StateRoot();
   out.residual_pool = Concat(pool.All());
@@ -248,19 +245,9 @@ Outcome MinePipelined(const Scenario& s, size_t queue_depth) {
 TEST(PipelineEquivalenceTest, BlockBytesMatchSerialAcrossThreadsAndDepths) {
   for (uint64_t seed = 0; seed < kNumSeeds; ++seed) {
     const Scenario s = MakeScenario(seed);
-    const Outcome reference = MineSerial(s, /*exec_pool=*/nullptr);
+    const Outcome reference = MineSerial(s);
     ASSERT_EQ(reference.blocks.size(), kBlocksToMine);
-
-    // The serial loop itself must be exec-pool invariant (PR 8)...
-    for (size_t threads : kThreadCounts) {
-      ThreadPool exec_pool(threads);
-      const Outcome with_pool = MineSerial(s, &exec_pool);
-      ASSERT_EQ(with_pool.blocks, reference.blocks)
-          << "seed " << seed << " threads " << threads;
-      ASSERT_EQ(with_pool.root, reference.root);
-      ASSERT_EQ(with_pool.residual_pool, reference.residual_pool);
-    }
-    // ...and the pipeline must match it at every commit-queue depth.
+    // The pipeline must match the serial loop at every commit-queue depth.
     for (size_t depth : kQueueDepths) {
       const Outcome pipelined = MinePipelined(s, depth);
       ASSERT_EQ(pipelined.blocks, reference.blocks)
@@ -291,14 +278,13 @@ TEST(PipelineEquivalenceTest, DrainsBacklogIdenticallyIncludingEmptyBlocks) {
   for (size_t b = 0; b < kRounds; ++b) {
     std::vector<Transaction> cands =
         serial_pool.TopByFee(s.config.max_txs_per_block);
-    Result<Block> built = serial_ledger.BuildBlock(
+    const Block built = serial_ledger.BuildBlock(
         kMiner, std::move(cands),
         static_cast<uint64_t>(serial_ledger.tip_number() + 1));
-    ASSERT_TRUE(built.ok());
-    Result<Hash256> appended = serial_ledger.Append(*built);
+    Result<Hash256> appended = serial_ledger.Append(built);
     ASSERT_TRUE(appended.ok());
     serial_hashes.push_back(*appended);
-    serial_pool.RemoveAll(built->transactions);
+    serial_pool.RemoveAll(built.transactions);
   }
   BlockPipeline pipeline(&piped_ledger, &piped_pool);
   Result<PipelineResult> produced = pipeline.Run(kMiner, kRounds);

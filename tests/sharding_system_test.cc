@@ -155,6 +155,40 @@ TEST_F(ShardingSystemTest, MineBlockRejectsUnknownMiner) {
   EXPECT_TRUE(system_.MineBlock(42).status().IsInvalidArgument());
 }
 
+TEST_F(ShardingSystemTest, MineBlocksPipelinedRejectsLikeMineBlock) {
+  // Both entry points admit the packer through one set of checks, so
+  // every rejection carries the same status code on either path.
+  const auto expect_rejected = [this](NodeId miner, Status::Code code) {
+    EXPECT_EQ(system_.MineBlock(miner).status().code(), code);
+    EXPECT_EQ(system_.MineBlocksPipelined(miner, 2).status().code(), code);
+  };
+  for (int i = 0; i < 3; ++i) system_.AddMiner();
+  {
+    SCOPED_TRACE("no active epoch");
+    expect_rejected(0, Status::Code::kFailedPrecondition);
+  }
+  ASSERT_TRUE(system_.BeginEpoch(1).ok());
+  {
+    SCOPED_TRACE("unknown miner");
+    expect_rejected(42, Status::Code::kInvalidArgument);
+  }
+  {
+    SCOPED_TRACE("pending joiner");
+    const NodeId joiner = system_.JoinMiner();
+    ASSERT_EQ(system_.StatusOfMiner(joiner), MinerStatus::kPending);
+    expect_rejected(joiner, Status::Code::kUnauthorized);
+  }
+  {
+    SCOPED_TRACE("departed miner");
+    ASSERT_TRUE(system_.CrashMiner(1).ok());
+    ASSERT_EQ(system_.StatusOfMiner(1), MinerStatus::kDeparted);
+    expect_rejected(1, Status::Code::kUnauthorized);
+  }
+  // A serving miner passes the same checks on both paths.
+  ASSERT_TRUE(system_.MineBlock(0).ok());
+  ASSERT_TRUE(system_.MineBlocksPipelined(0, 2).ok());
+}
+
 TEST_F(ShardingSystemTest, IncomingBlockVerification) {
   for (int i = 0; i < 3; ++i) system_.AddMiner();
   ASSERT_TRUE(system_.BeginEpoch(1).ok());
