@@ -74,12 +74,203 @@ void ProcessBlock(uint32_t state[8], const uint8_t block[64]) {
   state[7] += h;
 }
 
+#if defined(__x86_64__)
+
+/// Whether CPUID reported the SHA extensions, read once. Every entry point
+/// branches on it, and both sides of each branch compute the same digests
+/// (DESIGN.md §15).
+bool UseShaNi() {
+  static const bool kShaNi = sha256_internal::CpuHasShaNi();
+  return kShaNi;
+}
+
+// The SHA-NI code below keeps a block as four vectors of big-endian
+// message words. A one-shot digest loads whole blocks straight from the
+// input, assembles the padded tail in registers and stores the digest
+// from registers: nothing is staged in memory, which is where a short
+// digest's time went (DESIGN.md §15).
+
+#define SHA_NI_INLINE \
+  __attribute__((target("sha,ssse3,sse4.1"), always_inline)) inline
+
+/// The state in two registers as {a,b,e,f} and {c,d,g,h} (lane 3 first),
+/// the layout sha256rnds2 works on.
+struct ShaNiState {
+  __m128i abef;
+  __m128i cdgh;
+};
+
+/// Byte 16 is 0x80, the rest zero: the 16 bytes at `kPadByte + 16 - i`
+/// hold 0x80 at byte i and zeros elsewhere.
+constexpr uint8_t kPadByte[32] = {
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+
+SHA_NI_INLINE __m128i ByteSwapWords(__m128i v) {
+  return _mm_shuffle_epi8(
+      v, _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL));
+}
+
+SHA_NI_INLINE __m128i LoadWords(const uint8_t* p) {
+  return ByteSwapWords(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+}
+
+/// The 64 rounds of one block on the state, plus the feed-forward of the
+/// input state. Each group of four rounds adds its constants to one
+/// message vector and runs two rnds2 steps; sha256msg1/msg2 extend the
+/// schedule one vector ahead.
+SHA_NI_INLINE void ShaNiRounds(ShaNiState& state, __m128i w0, __m128i w1,
+                               __m128i w2, __m128i w3) {
+  __m128i abef = state.abef;
+  __m128i cdgh = state.cdgh;
+  __m128i w[4] = {w0, w1, w2, w3};
+  for (int g = 0; g < 16; ++g) {
+    const __m128i wk = _mm_add_epi32(
+        w[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                      &kRoundConstants[4 * g])));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    if (g < 12) {
+      // Schedule vector g+4 from vectors g..g+3: msg1 adds the σ0
+      // terms, the alignr supplies W[t-7], msg2 adds the σ1 terms.
+      const __m128i m1 = _mm_sha256msg1_epu32(w[g % 4], w[(g + 1) % 4]);
+      const __m128i m2 = _mm_add_epi32(
+          m1, _mm_alignr_epi8(w[(g + 3) % 4], w[(g + 2) % 4], 4));
+      w[g % 4] = _mm_sha256msg2_epu32(m2, w[(g + 3) % 4]);
+    }
+  }
+  state.abef = _mm_add_epi32(state.abef, abef);
+  state.cdgh = _mm_add_epi32(state.cdgh, cdgh);
+}
+
+/// The initial hash value (FIPS 180-4 §5.3.3) in the register layout.
+SHA_NI_INLINE ShaNiState InitialState() {
+  return {_mm_set_epi64x(0x6a09e667bb67ae85LL, 0x510e527f9b05688cLL),
+          _mm_set_epi64x(0x3c6ef372a54ff53aLL, 0x1f83d9ab5be0cd19LL)};
+}
+
+SHA_NI_INLINE ShaNiState LoadState(const uint32_t state[8]) {
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  return {_mm_alignr_epi8(cdab, efgh, 8), _mm_blend_epi16(efgh, cdab, 0xF0)};
+}
+
+/// Writes the state back as eight words, a first (`byte_swap` false), or
+/// as the 32 digest bytes, each word big-endian (`byte_swap` true).
+SHA_NI_INLINE void StoreState(const ShaNiState& state, bool byte_swap,
+                              void* out) {
+  const __m128i feba = _mm_shuffle_epi32(state.abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(state.cdgh, 0xB1);
+  __m128i abcd = _mm_blend_epi16(feba, dchg, 0xF0);
+  __m128i efgh = _mm_alignr_epi8(dchg, feba, 8);
+  if (byte_swap) {
+    abcd = ByteSwapWords(abcd);
+    efgh = ByteSwapWords(efgh);
+  }
+  _mm_storeu_si128(static_cast<__m128i*>(out), abcd);
+  _mm_storeu_si128(static_cast<__m128i*>(out) + 1, efgh);
+}
+
+/// Bytes [0, n) at `p` in the low bytes of a vector and zeros above,
+/// n <= 16, reading no byte outside [p, p + n): two overlapping 8- or
+/// 4-byte loads, or three single bytes below 4.
+SHA_NI_INLINE __m128i LoadPartial(const uint8_t* p, size_t n) {
+  uint64_t lo = 0;
+  if (n >= 8) {
+    uint64_t hi = 0;
+    std::memcpy(&lo, p, 8);
+    if (n > 8) {
+      std::memcpy(&hi, p + n - 8, 8);
+      hi >>= 8 * (16 - n);
+    }
+    return _mm_set_epi64x(static_cast<long long>(hi),
+                          static_cast<long long>(lo));
+  }
+  if (n >= 4) {
+    uint32_t first = 0;
+    uint32_t last = 0;
+    std::memcpy(&first, p, 4);
+    std::memcpy(&last, p + n - 4, 4);
+    lo = first | ((uint64_t{last} >> (8 * (8 - n))) << 32);
+  } else if (n > 0) {
+    lo = p[0] | (uint64_t{p[n / 2]} << (8 * (n / 2))) |
+         (uint64_t{p[n - 1]} << (8 * (n - 1)));
+  }
+  return _mm_cvtsi64_si128(static_cast<long long>(lo));
+}
+
+/// Message vector `lo / 16` of the padded last block for an `r`-byte
+/// tail at `tail` (r < 64): the tail's bytes, then 0x80 at byte r.
+SHA_NI_INLINE __m128i TailWords(const uint8_t* tail, size_t r, size_t lo) {
+  __m128i v = _mm_setzero_si128();
+  if (r >= lo + 16) {
+    v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(tail + lo));
+  } else if (r > lo) {
+    v = LoadPartial(tail + lo, r - lo);
+  }
+  if (r >= lo && r < lo + 16) {
+    v = _mm_or_si128(v, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                            kPadByte + 16 - (r - lo))));
+  }
+  return ByteSwapWords(v);
+}
+
+/// Pads and compresses the last `r` (< 64) bytes of a `bit_len`-bit
+/// message: the tail, the 0x80 byte, zeros and the 64-bit length go
+/// into one block, or two when fewer than 8 bytes remain after the 0x80.
+SHA_NI_INLINE void ShaNiFinish(ShaNiState& state, const uint8_t* tail,
+                               size_t r, uint64_t bit_len) {
+  __m128i w0 = TailWords(tail, r, 0);
+  __m128i w1 = TailWords(tail, r, 16);
+  __m128i w2 = TailWords(tail, r, 32);
+  __m128i w3 = TailWords(tail, r, 48);
+  if (r >= 56) {
+    ShaNiRounds(state, w0, w1, w2, w3);
+    w0 = w1 = w2 = w3 = _mm_setzero_si128();
+  }
+  // Words 14 and 15 are the high and low halves of the length.
+  const __m128i length = _mm_set_epi64x(
+      static_cast<long long>((bit_len << 32) | (bit_len >> 32)), 0);
+  ShaNiRounds(state, w0, w1, w2, _mm_or_si128(w3, length));
+}
+
+/// SHA-256 of the 64 bytes `a || b`; the second block is the padding
+/// alone, folded to constants: 0x80, zeros and the length 512.
+__attribute__((target("sha,ssse3,sse4.1"))) Hash256 HashPairShaNi(
+    const Hash256& a, const Hash256& b) {
+  ShaNiState state = InitialState();
+  ShaNiRounds(state, LoadWords(a.bytes.data()), LoadWords(a.bytes.data() + 16),
+              LoadWords(b.bytes.data()), LoadWords(b.bytes.data() + 16));
+  ShaNiRounds(state, _mm_set_epi32(0, 0, 0, INT32_MIN), _mm_setzero_si128(),
+              _mm_setzero_si128(), _mm_set_epi32(512, 0, 0, 0));
+  Hash256 out;
+  StoreState(state, true, out.bytes.data());
+  return out;
+}
+
+/// `Sha256::Finalize` on the SHA-NI body: the buffered tail of `r`
+/// bytes is padded in registers.
+__attribute__((target("sha,ssse3,sse4.1"))) Hash256 FinishShaNi(
+    const uint32_t words[8], const uint8_t* tail, size_t r,
+    uint64_t bit_len) {
+  ShaNiState state = LoadState(words);
+  ShaNiFinish(state, tail, r, bit_len);
+  Hash256 out;
+  StoreState(state, true, out.bytes.data());
+  return out;
+}
+
+#endif  // defined(__x86_64__)
+
 /// Runs whichever body CPUID selected; both compute the same FIPS 180-4
-/// compression, so the choice never reaches a digest (DESIGN.md §15).
+/// compression, so the choice never reaches a digest.
 void Compress(uint32_t state[8], const uint8_t* data, size_t nblocks) {
 #if defined(__x86_64__)
-  static const bool kShaNi = sha256_internal::CpuHasShaNi();
-  if (kShaNi) {
+  if (UseShaNi()) {
     sha256_internal::CompressShaNi(state, data, nblocks);
     return;
   }
@@ -111,58 +302,38 @@ bool CpuHasShaNi() {
 
 #if defined(__x86_64__)
 
-// The state lives in two registers as {a,b,e,f} and {c,d,g,h} (lane 3
-// first), the layout sha256rnds2 works on. Each group of four rounds adds
-// its constants to one 4-word message vector and runs two rnds2 steps;
-// sha256msg1/msg2 extend the schedule one vector ahead.
 __attribute__((target("sha,ssse3,sse4.1"))) void CompressShaNi(
     uint32_t state[8], const uint8_t* data, size_t nblocks) {
-  const __m128i kByteSwap =
-      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
-  const __m128i dcba =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
-  const __m128i hgfe =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
-  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
-  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
-  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
-  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
-
+  ShaNiState regs = LoadState(state);
   for (; nblocks > 0; --nblocks, data += 64) {
-    const __m128i abef_in = abef;
-    const __m128i cdgh_in = cdgh;
-    __m128i w[4];
-    for (int i = 0; i < 4; ++i) {
-      w[i] = _mm_shuffle_epi8(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
-          kByteSwap);
-    }
-    for (int g = 0; g < 16; ++g) {
-      const __m128i wk = _mm_add_epi32(
-          w[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                        &kRoundConstants[4 * g])));
-      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
-      if (g < 12) {
-        // Schedule vector g+4 from vectors g..g+3: msg1 adds the σ0
-        // terms, the alignr supplies W[t-7], msg2 adds the σ1 terms.
-        const __m128i w1 = _mm_sha256msg1_epu32(w[g % 4], w[(g + 1) % 4]);
-        const __m128i w2 = _mm_add_epi32(
-            w1, _mm_alignr_epi8(w[(g + 3) % 4], w[(g + 2) % 4], 4));
-        w[g % 4] = _mm_sha256msg2_epu32(w2, w[(g + 3) % 4]);
-      }
-    }
-    abef = _mm_add_epi32(abef, abef_in);
-    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    ShaNiRounds(regs, LoadWords(data), LoadWords(data + 16),
+                LoadWords(data + 32), LoadWords(data + 48));
   }
-
-  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
-  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
-                   _mm_blend_epi16(feba, dchg, 0xF0));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
-                   _mm_alignr_epi8(dchg, feba, 8));
+  StoreState(regs, false, state);
 }
+
+__attribute__((target("sha,ssse3,sse4.1"))) Hash256 DigestShaNi(
+    const uint8_t* data, size_t len) {
+  ShaNiState state = InitialState();
+  if (len == 32) {
+    // A Lamport preimage: one block, its padding folded to constants.
+    ShaNiRounds(state, LoadWords(data), LoadWords(data + 16),
+                _mm_set_epi32(0, 0, 0, INT32_MIN),
+                _mm_set_epi32(256, 0, 0, 0));
+  } else {
+    const size_t whole = len / 64;
+    for (size_t i = 0; i < whole; ++i, data += 64) {
+      ShaNiRounds(state, LoadWords(data), LoadWords(data + 16),
+                  LoadWords(data + 32), LoadWords(data + 48));
+    }
+    ShaNiFinish(state, data, len % 64, uint64_t{len} * 8);
+  }
+  Hash256 out;
+  StoreState(state, true, out.bytes.data());
+  return out;
+}
+
+#undef SHA_NI_INLINE
 
 #endif  // defined(__x86_64__)
 
@@ -212,6 +383,9 @@ void Sha256::Update(const Bytes& data) { Update(data.data(), data.size()); }
 
 Hash256 Sha256::Finalize() {
   const uint64_t bit_len = total_len_ * 8;
+#if defined(__x86_64__)
+  if (UseShaNi()) return FinishShaNi(state_, buffer_, buffer_len_, bit_len);
+#endif
   // Append 0x80, then zeros, then the 64-bit big-endian length; the
   // length field spills into a second block when fewer than 8 bytes
   // remain after the 0x80.
@@ -238,15 +412,17 @@ Hash256 Sha256::Finalize() {
 }
 
 Hash256 Sha256Digest(const uint8_t* data, size_t len) {
+#if defined(__x86_64__)
+  if (UseShaNi()) return sha256_internal::DigestShaNi(data, len);
+#endif
   Sha256 h;
   h.Update(data, len);
   return h.Finalize();
 }
 
 Hash256 Sha256Digest(std::string_view data) {
-  Sha256 h;
-  h.Update(data);
-  return h.Finalize();
+  return Sha256Digest(reinterpret_cast<const uint8_t*>(data.data()),
+                      data.size());
 }
 
 Hash256 Sha256Digest(const Bytes& data) {
@@ -254,6 +430,9 @@ Hash256 Sha256Digest(const Bytes& data) {
 }
 
 Hash256 HashPair(const Hash256& a, const Hash256& b) {
+#if defined(__x86_64__)
+  if (UseShaNi()) return HashPairShaNi(a, b);
+#endif
   Sha256 h;
   h.Update(a.bytes.data(), a.bytes.size());
   h.Update(b.bytes.data(), b.bytes.size());

@@ -43,8 +43,9 @@ struct Hash256 {
 ///
 /// Usage: `Sha256 h; h.Update(a); h.Update(b); Hash256 d = h.Finalize();`
 /// or the one-shot helpers below. Tested against the NIST vectors in
-/// tests/crypto_test.cc. Blocks are compressed with the x86-64 SHA
-/// extensions when CPUID reports them and in portable C++ otherwise; both
+/// tests/crypto_test.cc. When CPUID reports the x86-64 SHA extensions,
+/// blocks compress on them, and `Finalize`, `Sha256Digest` and `HashPair`
+/// pad the last block in registers; otherwise portable C++ runs. Both
 /// give the same digests, and no setting chooses between them
 /// (DESIGN.md §15).
 class Sha256 {

@@ -1,12 +1,16 @@
 #ifndef SHARDCHAIN_CRYPTO_SHA256_INTERNAL_H_
 #define SHARDCHAIN_CRYPTO_SHA256_INTERNAL_H_
 
-// The two bodies of the SHA-256 block compression behind `Sha256`
-// (DESIGN.md §15). Private to src/crypto/sha256.cc and the tests that
-// compare the bodies; no public header includes this file.
+// The two bodies of SHA-256 behind `Sha256`, `Sha256Digest` and
+// `HashPair` (DESIGN.md §15): the block compression in portable C++, and
+// on x86-64 the same compression plus a one-shot digest through the SHA
+// extensions. Private to src/crypto/sha256.cc and the tests that compare
+// the bodies; no public header includes this file.
 
 #include <cstddef>
 #include <cstdint>
+
+#include "crypto/sha256.h"
 
 namespace shardchain::sha256_internal {
 
@@ -24,6 +28,13 @@ bool CpuHasShaNi();
 /// The same compression through the x86-64 SHA extensions. Call only
 /// when `CpuHasShaNi()`.
 void CompressShaNi(uint32_t state[8], const uint8_t* data, size_t nblocks);
+
+/// SHA-256 of `len` bytes at `data` through the SHA extensions, with the
+/// state, the padded last block and the digest held in registers; it
+/// reads no byte outside [data, data + len), and `data` may be null when
+/// `len` is 0. What `Sha256Digest` runs when `CpuHasShaNi()`; call only
+/// then.
+Hash256 DigestShaNi(const uint8_t* data, size_t len);
 #endif
 
 }  // namespace shardchain::sha256_internal

@@ -201,6 +201,70 @@ TEST(Sha256Kernel, StreamedDigestsMatchPortableReference) {
   }
 }
 
+// Sha256Digest and HashPair run the one-shot SHA-NI body, and
+// Sha256::Finalize pads its buffered tail in the same registers, when
+// CPUID reports SHA; the portable reference checks all three.
+TEST(Sha256Kernel, OneShotMatchesPortableReference) {
+  std::cout << "sha256 kernel selected: " << SelectedKernel() << "\n";
+  const bool sha_ni = sha256_internal::CpuHasShaNi();
+  Rng rng(0x0e5407);
+  const Bytes source = RandomBytes(&rng, 1100);
+  for (size_t len = 0; len <= source.size(); ++len) {
+    const Bytes msg(source.begin(), source.begin() + len);
+    const Hash256 want = PortableReferenceDigest(msg);
+    for (size_t offset = 0; offset < 16; ++offset) {
+      // The message ends its own heap allocation, so the sanitizer build
+      // flags any read past its last byte.
+      Bytes buf(offset + len);
+      std::copy(msg.begin(), msg.end(), buf.begin() + offset);
+      const uint8_t* data = buf.data() + offset;
+      ASSERT_EQ(Sha256Digest(data, len), want)
+          << "len=" << len << " offset=" << offset;
+#if defined(__x86_64__)
+      if (sha_ni) {
+        ASSERT_EQ(sha256_internal::DigestShaNi(data, len), want)
+            << "len=" << len << " offset=" << offset;
+      }
+#endif
+    }
+  }
+
+  const Bytes empty;
+  ASSERT_EQ(empty.data(), nullptr);
+  EXPECT_EQ(Sha256Digest(empty), PortableReferenceDigest(empty));
+#if defined(__x86_64__)
+  if (sha_ni) {
+    EXPECT_EQ(sha256_internal::DigestShaNi(nullptr, 0),
+              PortableReferenceDigest(empty));
+  }
+#endif
+
+  for (int trial = 0; trial < 1000; ++trial) {
+    Hash256 a;
+    Hash256 b;
+    for (uint8_t& byte : a.bytes) byte = static_cast<uint8_t>(rng.Next());
+    for (uint8_t& byte : b.bytes) byte = static_cast<uint8_t>(rng.Next());
+    Sha256 streamed;
+    streamed.Update(a.bytes.data(), a.bytes.size());
+    streamed.Update(b.bytes.data(), b.bytes.size());
+    ASSERT_EQ(HashPair(a, b), streamed.Finalize()) << "trial=" << trial;
+  }
+
+  // Every buffered tail length 0-63 at Finalize, after zero to two whole
+  // blocks, reached through odd-sized Updates.
+  for (size_t len = 0; len < 192; ++len) {
+    const Bytes msg(source.begin(), source.begin() + len);
+    Sha256 h;
+    size_t pos = 0;
+    for (size_t piece = 1; pos < len; piece = (piece + 6) % 64) {
+      const size_t take = std::min(piece, len - pos);
+      h.Update(msg.data() + pos, take);
+      pos += take;
+    }
+    ASSERT_EQ(h.Finalize(), PortableReferenceDigest(msg)) << "len=" << len;
+  }
+}
+
 // ------------------------ Lamport signatures ---------------------------
 
 TEST(KeysTest, SignVerifyRoundTrip) {
@@ -236,6 +300,20 @@ TEST(KeysTest, FingerprintIsStableAndUnique) {
   KeyPair b = KeyPair::FromSeed(7);
   EXPECT_EQ(a.public_key().Fingerprint(), a.public_key().Fingerprint());
   EXPECT_NE(a.public_key().Fingerprint(), b.public_key().Fingerprint());
+}
+
+// No golden vector under tests/vectors/ covers keygen or the VRF; these
+// literals pin their bytes.
+TEST(KeysTest, KeygenAndVrfBytesArePinned) {
+  EXPECT_EQ(KeyPair::FromSeed(1).public_key().Fingerprint().ToHex(),
+            "6059d80c11f11b8cbc33c58a9182287f9f53cce71c5d8b6844dcce526b36477b");
+  EXPECT_EQ(KeyPair::FromSeed(2).public_key().Fingerprint().ToHex(),
+            "da2aa719d72749a606b585b3d9b54fa3082f3bb221e7b0e6b7ec7394622c3de0");
+  EXPECT_EQ(KeyPair::FromSeed(3).public_key().Fingerprint().ToHex(),
+            "952d755e08ac2549a5e5a5d0f378c7a10fc29b485eced8bc495a31e8706f0e59");
+  EXPECT_EQ(
+      VrfEvaluate(KeyPair::FromSeed(1), Sha256Digest("epoch")).value.ToHex(),
+      "d414d0357978abd82b89dfb628ae6e06de255b70336f5ddf9018b3d41c8e797c");
 }
 
 TEST(KeysTest, DigestBitExtraction) {
