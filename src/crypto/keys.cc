@@ -13,28 +13,28 @@ constexpr size_t kVerifyGrain = 4;
 }  // namespace
 
 Hash256 PublicKey::Fingerprint() const {
-  Sha256 h;
-  for (const auto& pair : hashes) {
-    h.Update(pair[0].bytes.data(), pair[0].bytes.size());
-    h.Update(pair[1].bytes.data(), pair[1].bytes.size());
-  }
-  return h.Finalize();
+  // The 512 commitments in order, with no padding between them.
+  static_assert(sizeof(hashes) == 512 * sizeof(Hash256));
+  return Sha256Digest(reinterpret_cast<const uint8_t*>(hashes.data()),
+                      sizeof(hashes));
 }
 
 KeyPair KeyPair::Generate(Rng* rng) {
   auto secret = std::make_unique<Secret>();
+  for (Hash256& pre : secret->preimages) {
+    for (int w = 0; w < 4; ++w) {
+      const uint64_t r = rng->Next();
+      for (int j = 0; j < 8; ++j) {
+        pre.bytes[w * 8 + j] = static_cast<uint8_t>(r >> (56 - 8 * j));
+      }
+    }
+  }
+  std::array<Hash256, 512> digests;
+  Sha256Digest32Many(secret->preimages.data(), digests.size(),
+                     digests.data());
   auto pk = std::make_unique<PublicKey>();
   for (int i = 0; i < 256; ++i) {
-    for (int b = 0; b < 2; ++b) {
-      Hash256& pre = secret->preimages[i][b];
-      for (int w = 0; w < 4; ++w) {
-        const uint64_t r = rng->Next();
-        for (int j = 0; j < 8; ++j) {
-          pre.bytes[w * 8 + j] = static_cast<uint8_t>(r >> (56 - 8 * j));
-        }
-      }
-      pk->hashes[i][b] = Sha256Digest(pre.bytes.data(), pre.bytes.size());
-    }
+    pk->hashes[i] = {digests[2 * i], digests[2 * i + 1]};
   }
   return KeyPair(std::move(secret), std::move(pk));
 }
@@ -47,18 +47,20 @@ KeyPair KeyPair::FromSeed(uint64_t seed) {
 Signature KeyPair::Sign(const Hash256& message_digest) const {
   Signature sig;
   for (int i = 0; i < 256; ++i) {
-    sig.preimages[i] = secret_->preimages[i][DigestBit(message_digest, i)];
+    sig.preimages[i] =
+        secret_->preimages[2 * i + DigestBit(message_digest, i)];
   }
   return sig;
 }
 
 bool Verify(const PublicKey& pk, const Hash256& message_digest,
             const Signature& sig) {
+  std::array<Hash256, 256> digests;
+  Sha256Digest32Many(sig.preimages.data(), digests.size(), digests.data());
   for (int i = 0; i < 256; ++i) {
-    const int b = DigestBit(message_digest, i);
-    const Hash256 expected = Sha256Digest(sig.preimages[i].bytes.data(),
-                                          sig.preimages[i].bytes.size());
-    if (expected != pk.hashes[i][b]) return false;
+    if (digests[i] != pk.hashes[i][DigestBit(message_digest, i)]) {
+      return false;
+    }
   }
   return true;
 }

@@ -74,7 +74,8 @@ class KeyPair {
 
  private:
   struct Secret {
-    std::array<std::array<Hash256, 2>, 256> preimages;
+    /// preimages[2 * i + b] hashes to the public key's hashes[i][b].
+    std::array<Hash256, 512> preimages;
   };
 
   KeyPair(std::unique_ptr<Secret> secret, std::unique_ptr<PublicKey> pk)

@@ -1,6 +1,7 @@
 #include "crypto/sha256.h"
 
 #include <cstring>
+#include <utility>
 
 #include "crypto/sha256_internal.h"
 
@@ -25,6 +26,11 @@ constexpr uint32_t kRoundConstants[64] = {
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
+
+/// The initial hash value (FIPS 180-4 §5.3.3), a first.
+constexpr uint32_t kInitialState[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                       0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                       0x1f83d9ab, 0x5be0cd19};
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
@@ -82,6 +88,16 @@ void ProcessBlock(uint32_t state[8], const uint8_t block[64]) {
 bool UseShaNi() {
   static const bool kShaNi = sha256_internal::CpuHasShaNi();
   return kShaNi;
+}
+
+/// XCR0, the register state the OS saves on a context switch.
+__attribute__((target("xsave"))) uint64_t ReadXcr0() { return _xgetbv(0); }
+
+/// Whether CPUID reported AVX-512, read once like `UseShaNi`; only
+/// `Sha256Digest32Many` branches on it.
+bool UseAvx512() {
+  static const bool kAvx512 = sha256_internal::CpuHasAvx512();
+  return kAvx512;
 }
 
 // The SHA-NI code below keeps a block as four vectors of big-endian
@@ -264,6 +280,100 @@ __attribute__((target("sha,ssse3,sse4.1"))) Hash256 FinishShaNi(
   return out;
 }
 
+// The AVX-512 code below hashes sixteen 32-byte messages at once: lane
+// i of every vector belongs to message i, so one vector instruction does
+// the same step of sixteen compressions. A 32-byte message is one block
+// whose words 8-15 are padding, the same constants in every lane.
+
+#define AVX512_INLINE \
+  __attribute__((target("avx512f,avx512bw"), always_inline)) inline
+
+// GCC 12's unmasked rotate, shift and gather intrinsics pass an
+// undefined source vector that -Werror=uninitialized rejects; the
+// masked forms below take an explicit zero source and a full mask.
+constexpr __mmask16 kAllLanes = 0xFFFF;
+
+template <int N>
+AVX512_INLINE __m512i Ror512(__m512i x) {
+  return _mm512_maskz_ror_epi32(kAllLanes, x, N);
+}
+
+template <int N>
+AVX512_INLINE __m512i Shr512(__m512i x) {
+  return _mm512_maskz_srli_epi32(kAllLanes, x, N);
+}
+
+AVX512_INLINE __m512i Splat(uint32_t v) {
+  return _mm512_set1_epi32(static_cast<int>(v));
+}
+
+AVX512_INLINE __m512i Add(__m512i a, __m512i b) {
+  return _mm512_add_epi32(a, b);
+}
+
+/// a ^ b ^ c in one ternary-logic instruction.
+AVX512_INLINE __m512i Xor3(__m512i a, __m512i b, __m512i c) {
+  return _mm512_ternarylogic_epi32(a, b, c, 0x96);
+}
+
+AVX512_INLINE __m512i ByteSwapWords512(__m512i v) {
+  return _mm512_shuffle_epi8(
+      v, _mm512_set4_epi32(0x0c0d0e0f, 0x08090a0b, 0x04050607, 0x00010203));
+}
+
+/// Where message i of a group starts, 32 * i bytes, in the 4-byte units
+/// the gathers and scatters scale by.
+AVX512_INLINE __m512i MessageOffsets() {
+  return _mm512_set_epi32(120, 112, 104, 96, 88, 80, 72, 64, 56, 48, 40, 32,
+                          24, 16, 8, 0);
+}
+
+/// One round on sixteen lanes: `kw` is K[t] + W[t], and the state
+/// {a..h} = s[0..7] shifts down by one word.
+AVX512_INLINE void Round512(__m512i s[8], __m512i kw) {
+  const __m512i sigma1 = Xor3(Ror512<6>(s[4]), Ror512<11>(s[4]),
+                              Ror512<25>(s[4]));
+  // Ch(e, f, g) = e ? f : g, and Maj(a, b, c) the bitwise majority.
+  const __m512i ch = _mm512_ternarylogic_epi32(s[4], s[5], s[6], 0xCA);
+  const __m512i t1 = Add(Add(s[7], sigma1), Add(ch, kw));
+  const __m512i sigma0 = Xor3(Ror512<2>(s[0]), Ror512<13>(s[0]),
+                              Ror512<22>(s[0]));
+  const __m512i maj = _mm512_ternarylogic_epi32(s[0], s[1], s[2], 0xE8);
+  const __m512i t2 = Add(sigma0, maj);
+  s[7] = s[6];
+  s[6] = s[5];
+  s[5] = s[4];
+  s[4] = Add(s[3], t1);
+  s[3] = s[2];
+  s[2] = s[1];
+  s[1] = s[0];
+  s[0] = Add(t1, t2);
+}
+
+/// Round T, first extending the schedule when T >= 16: W[T] replaces
+/// W[T-16] in the ring of the last sixteen words.
+template <int T>
+AVX512_INLINE void Step512(__m512i s[8], __m512i w[16]) {
+  if constexpr (T >= 16) {
+    const __m512i w15 = w[(T + 1) % 16];
+    const __m512i w2 = w[(T + 14) % 16];
+    const __m512i sigma0 =
+        Xor3(Ror512<7>(w15), Ror512<18>(w15), Shr512<3>(w15));
+    const __m512i sigma1 =
+        Xor3(Ror512<17>(w2), Ror512<19>(w2), Shr512<10>(w2));
+    w[T % 16] = Add(Add(w[T % 16], sigma0), Add(w[(T + 9) % 16], sigma1));
+  }
+  Round512(s, Add(w[T % 16], Splat(kRoundConstants[T])));
+}
+
+/// All 64 rounds, expanded at compile time so that every index into the
+/// state and the ring is a constant and both stay in registers.
+template <int... T>
+AVX512_INLINE void Rounds512(__m512i s[8], __m512i w[16],
+                             std::integer_sequence<int, T...>) {
+  (Step512<T>(s, w), ...);
+}
+
 #endif  // defined(__x86_64__)
 
 /// Runs whichever body CPUID selected; both compute the same FIPS 180-4
@@ -295,6 +405,22 @@ bool CpuHasShaNi() {
   const bool sse41 = (ecx & (1u << 19)) != 0;
   if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
   return ssse3 && sse41 && (ebx & (1u << 29)) != 0;
+#else
+  return false;
+#endif
+}
+
+bool CpuHasAvx512() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  if ((ecx & (1u << 27)) == 0) return false;  // No OSXSAVE, so no XGETBV.
+  // SSE, AVX, opmask, and the upper and extra ZMM registers.
+  constexpr uint64_t kZmmState = (1u << 1) | (1u << 2) | (1u << 5) |
+                                 (1u << 6) | (1u << 7);
+  if ((ReadXcr0() & kZmmState) != kZmmState) return false;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  return (ebx & (1u << 16)) != 0 && (ebx & (1u << 30)) != 0;
 #else
   return false;
 #endif
@@ -335,20 +461,41 @@ __attribute__((target("sha,ssse3,sse4.1"))) Hash256 DigestShaNi(
 
 #undef SHA_NI_INLINE
 
+__attribute__((target("avx512f,avx512bw"))) void Digest32x16Avx512(
+    const Hash256* in, Hash256* out) {
+  static_assert(sizeof(Hash256) == 32);
+  // Word j of lane i is at byte 32 * i + 4 * j of the group.
+  const __m512i offsets = MessageOffsets();
+  const auto* src = reinterpret_cast<const uint8_t*>(in);
+  __m512i w[16];
+  for (int j = 0; j < 8; ++j) {
+    w[j] = ByteSwapWords512(_mm512_mask_i32gather_epi32(
+        _mm512_setzero_si512(), kAllLanes, offsets, src + 4 * j, 4));
+  }
+  // The padding: 0x80 after the message, zeros, the bit length 256.
+  w[8] = Splat(0x80000000);
+  for (int j = 9; j < 15; ++j) w[j] = _mm512_setzero_si512();
+  w[15] = Splat(256);
+
+  __m512i s[8];
+  for (int j = 0; j < 8; ++j) s[j] = Splat(kInitialState[j]);
+  Rounds512(s, w, std::make_integer_sequence<int, 64>());
+
+  auto* dst = reinterpret_cast<uint8_t*>(out);
+  for (int j = 0; j < 8; ++j) {
+    _mm512_mask_i32scatter_epi32(
+        dst + 4 * j, kAllLanes, offsets,
+        ByteSwapWords512(Add(s[j], Splat(kInitialState[j]))), 4);
+  }
+}
+
+#undef AVX512_INLINE
+
 #endif  // defined(__x86_64__)
 
 }  // namespace sha256_internal
 
-Sha256::Sha256() {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
-}
+Sha256::Sha256() { std::memcpy(state_, kInitialState, sizeof(state_)); }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
   total_len_ += len;
@@ -427,6 +574,20 @@ Hash256 Sha256Digest(std::string_view data) {
 
 Hash256 Sha256Digest(const Bytes& data) {
   return Sha256Digest(data.data(), data.size());
+}
+
+void Sha256Digest32Many(const Hash256* in, size_t n, Hash256* out) {
+  size_t i = 0;
+#if defined(__x86_64__)
+  if (UseAvx512()) {
+    for (; i + 16 <= n; i += 16) {
+      sha256_internal::Digest32x16Avx512(in + i, out + i);
+    }
+  }
+#endif
+  for (; i < n; ++i) {
+    out[i] = Sha256Digest(in[i].bytes.data(), in[i].bytes.size());
+  }
 }
 
 Hash256 HashPair(const Hash256& a, const Hash256& b) {

@@ -45,9 +45,10 @@ struct Hash256 {
 /// or the one-shot helpers below. Tested against the NIST vectors in
 /// tests/crypto_test.cc. When CPUID reports the x86-64 SHA extensions,
 /// blocks compress on them, and `Finalize`, `Sha256Digest` and `HashPair`
-/// pad the last block in registers; otherwise portable C++ runs. Both
-/// give the same digests, and no setting chooses between them
-/// (DESIGN.md §15).
+/// pad the last block in registers; otherwise portable C++ runs. When it
+/// reports AVX-512, `Sha256Digest32Many` hashes sixteen messages per
+/// pass. Every body gives the same digests, and no setting chooses
+/// between them (DESIGN.md §15).
 class Sha256 {
  public:
   Sha256();
@@ -76,6 +77,12 @@ Hash256 Sha256Digest(const Bytes& data);
 /// SHA-256 of the concatenation of two digests; the node combiner for
 /// Merkle trees.
 Hash256 HashPair(const Hash256& a, const Hash256& b);
+
+/// Batch SHA-256 of `n` 32-byte messages: out[i] = Sha256Digest(in[i])
+/// for every i < n, the shape of Lamport keygen and verify. On a CPU with
+/// AVX-512 each whole group of 16 is hashed in one pass (DESIGN.md §15).
+/// `in` and `out` must not overlap.
+void Sha256Digest32Many(const Hash256* in, size_t n, Hash256* out);
 
 }  // namespace shardchain
 

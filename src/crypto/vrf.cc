@@ -1,7 +1,5 @@
 #include "crypto/vrf.h"
 
-#include <cassert>
-
 #include "parallel/parallel.h"
 
 namespace shardchain {
@@ -11,6 +9,14 @@ namespace {
 /// Lamport evaluate/verify hash ~16 KiB of key material per call, so a
 /// handful of identities per chunk already amortizes the dispatch.
 constexpr size_t kVrfGrain = 4;
+
+/// The VRF value: SHA-256 over the proof's 256 revealed preimages in
+/// order, with no padding between them.
+Hash256 ProofValue(const Signature& proof) {
+  static_assert(sizeof(proof.preimages) == 256 * sizeof(Hash256));
+  return Sha256Digest(reinterpret_cast<const uint8_t*>(proof.preimages.data()),
+                      sizeof(proof.preimages));
+}
 
 }  // namespace
 
@@ -24,22 +30,14 @@ Hash256 VrfSeedDigest(const Hash256& seed) {
 VrfOutput VrfEvaluate(const KeyPair& key, const Hash256& seed) {
   VrfOutput out;
   out.proof = key.Sign(VrfSeedDigest(seed));
-  Sha256 h;
-  for (const Hash256& pre : out.proof.preimages) {
-    h.Update(pre.bytes.data(), pre.bytes.size());
-  }
-  out.value = h.Finalize();
+  out.value = ProofValue(out.proof);
   return out;
 }
 
 bool VrfVerify(const PublicKey& pk, const Hash256& seed,
                const VrfOutput& out) {
-  if (!Verify(pk, VrfSeedDigest(seed), out.proof)) return false;
-  Sha256 h;
-  for (const Hash256& pre : out.proof.preimages) {
-    h.Update(pre.bytes.data(), pre.bytes.size());
-  }
-  return h.Finalize() == out.value;
+  return Verify(pk, VrfSeedDigest(seed), out.proof) &&
+         ProofValue(out.proof) == out.value;
 }
 
 std::vector<VrfOutput> VrfEvaluateBatch(const std::vector<const KeyPair*>& keys,
@@ -56,8 +54,8 @@ std::vector<uint8_t> VrfVerifyBatch(const std::vector<const PublicKey*>& pks,
                                     const Hash256& seed,
                                     const std::vector<const VrfOutput*>& outs,
                                     ThreadPool* pool) {
-  assert(pks.size() == outs.size());
   std::vector<uint8_t> ok(pks.size(), 0);
+  if (outs.size() != pks.size()) return ok;
   ParallelFor(pool, pks.size(), kVrfGrain,
               [&ok, &pks, &seed, &outs](size_t i) {
                 ok[i] = VrfVerify(*pks[i], seed, *outs[i]) ? 1 : 0;

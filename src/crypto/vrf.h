@@ -40,8 +40,9 @@ std::vector<VrfOutput> VrfEvaluateBatch(const std::vector<const KeyPair*>& keys,
                                         const Hash256& seed, ThreadPool* pool);
 
 /// Batch verification: out[i] = VrfVerify(*pks[i], seed, *outs[i]).
-/// `pks` and `outs` must be the same length. uint8_t (not bool) so the
-/// flags are independently addressable per lane.
+/// When `outs` differs in length from `pks`, every slot of the
+/// `pks.size()` result is 0, as in `VerifyBatch`. uint8_t (not bool) so
+/// the flags are independently addressable per lane.
 std::vector<uint8_t> VrfVerifyBatch(const std::vector<const PublicKey*>& pks,
                                     const Hash256& seed,
                                     const std::vector<const VrfOutput*>& outs,

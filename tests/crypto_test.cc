@@ -265,6 +265,51 @@ TEST(Sha256Kernel, OneShotMatchesPortableReference) {
   }
 }
 
+// Sha256Digest32Many hashes each whole group of 16 through the AVX-512
+// body when CPUID reports it, and the rest one message at a time; both
+// must give out[i] == Sha256Digest(in[i]) for every n and every lane.
+TEST(Sha256Kernel, Digest32ManyMatchesOneShot) {
+  const bool avx512 = sha256_internal::CpuHasAvx512();
+  std::cout << "sha256 kernel selected: " << SelectedKernel()
+            << "; 32-byte batches: "
+            << (avx512 ? "AVX-512, 16 lanes" : "one-shot loop") << "\n";
+  Rng rng(0xa5125);
+  std::vector<size_t> sizes;
+  for (size_t n = 0; n <= 40; ++n) sizes.push_back(n);
+  sizes.push_back(256);
+  sizes.push_back(512);
+  for (const size_t n : sizes) {
+    // Exactly sized, so the sanitizer build flags a read or write past
+    // either array.
+    std::vector<Hash256> in(n);
+    for (Hash256& h : in) {
+      for (uint8_t& byte : h.bytes) byte = static_cast<uint8_t>(rng.Next());
+    }
+    std::vector<Hash256> want(n);
+    for (size_t i = 0; i < n; ++i) {
+      want[i] = Sha256Digest(in[i].bytes.data(), in[i].bytes.size());
+    }
+    std::vector<Hash256> out(n);
+    Sha256Digest32Many(in.data(), n, out.data());
+    ASSERT_EQ(out, want) << "n=" << n;
+#if defined(__x86_64__)
+    if (avx512) {
+      // The body alone, on each whole group; it must leave the slots
+      // after the last whole group untouched.
+      std::vector<Hash256> direct(n, Sha256Digest("untouched"));
+      const size_t whole = n - n % 16;
+      for (size_t g = 0; g < whole; g += 16) {
+        sha256_internal::Digest32x16Avx512(in.data() + g, direct.data() + g);
+      }
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(direct[i], i < whole ? want[i] : Sha256Digest("untouched"))
+            << "n=" << n << " i=" << i;
+      }
+    }
+#endif
+  }
+}
+
 // ------------------------ Lamport signatures ---------------------------
 
 TEST(KeysTest, SignVerifyRoundTrip) {
@@ -286,6 +331,74 @@ TEST(KeysTest, VerifyRejectsTamperedSignature) {
   Signature sig = kp.Sign(msg);
   sig.preimages[17].bytes[0] ^= 0x01;
   EXPECT_FALSE(Verify(kp.public_key(), msg, sig));
+}
+
+// Verify hashes the 256 preimages in groups of 16, so flipping a bit of
+// each preimage in turn reaches every lane of every group.
+TEST(KeysTest, VerifyRejectsABitFlipInAnyPreimage) {
+  KeyPair kp = KeyPair::FromSeed(8);
+  const Hash256 msg = Sha256Digest("every lane");
+  Signature sig = kp.Sign(msg);
+  ASSERT_TRUE(Verify(kp.public_key(), msg, sig));
+  for (int i = 0; i < 256; ++i) {
+    uint8_t& byte = sig.preimages[i].bytes[i % 32];
+    const uint8_t flip = static_cast<uint8_t>(1u << (i % 8));
+    byte ^= flip;
+    EXPECT_FALSE(Verify(kp.public_key(), msg, sig)) << "preimage " << i;
+    byte ^= flip;
+  }
+  EXPECT_TRUE(Verify(kp.public_key(), msg, sig));
+}
+
+// Altering commitment hashes[i][b] must reject the signature that
+// reveals it: `msg` reveals bit i's value, its complement the other one.
+TEST(KeysTest, VerifyRejectsAnyAlteredCommitment) {
+  KeyPair kp = KeyPair::FromSeed(9);
+  PublicKey pk = kp.public_key();
+  Hash256 msg = Sha256Digest("commitments");
+  Hash256 complement = msg;
+  for (uint8_t& byte : complement.bytes) byte = static_cast<uint8_t>(~byte);
+  const Signature sig = kp.Sign(msg);
+  const Signature complement_sig = kp.Sign(complement);
+  for (int i = 0; i < 256; ++i) {
+    for (int b = 0; b < 2; ++b) {
+      const bool revealed_by_msg = DigestBit(msg, i) == b;
+      pk.hashes[i][b].bytes[31] ^= 0x80;
+      EXPECT_FALSE(revealed_by_msg ? Verify(pk, msg, sig)
+                                   : Verify(pk, complement, complement_sig))
+          << "i=" << i << " b=" << b;
+      pk.hashes[i][b].bytes[31] ^= 0x80;
+    }
+  }
+  EXPECT_TRUE(Verify(pk, msg, sig));
+  EXPECT_TRUE(Verify(pk, complement, complement_sig));
+}
+
+TEST(KeysTest, VerifyBatchFlagsExactlyTheForgedSlots) {
+  std::vector<KeyPair> keys;
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    keys.push_back(KeyPair::FromSeed(100 + seed));
+  }
+  std::vector<Hash256> digests;
+  std::vector<Signature> sigs;
+  for (int i = 0; i < 32; ++i) {
+    digests.push_back(Sha256Digest("batch-" + std::to_string(i)));
+    sigs.push_back(keys[i % 4].Sign(digests.back()));
+  }
+  const std::vector<int> forged = {0, 15, 16, 31};
+  for (const int slot : forged) sigs[slot].preimages[slot % 8].bytes[3] ^= 1;
+  std::vector<const PublicKey*> pks;
+  std::vector<const Hash256*> digest_ptrs;
+  std::vector<const Signature*> sig_ptrs;
+  std::vector<uint8_t> want;
+  for (int i = 0; i < 32; ++i) {
+    pks.push_back(&keys[i % 4].public_key());
+    digest_ptrs.push_back(&digests[i]);
+    sig_ptrs.push_back(&sigs[i]);
+    want.push_back(
+        std::find(forged.begin(), forged.end(), i) == forged.end() ? 1 : 0);
+  }
+  EXPECT_EQ(VerifyBatch(pks, digest_ptrs, sig_ptrs, nullptr), want);
 }
 
 TEST(KeysTest, VerifyRejectsForeignKey) {
@@ -358,6 +471,24 @@ TEST(VrfTest, VerifyRejectsTamperedValue) {
   VrfOutput out = VrfEvaluate(kp, seed);
   out.value.bytes[0] ^= 0xff;
   EXPECT_FALSE(VrfVerify(kp.public_key(), seed, out));
+}
+
+// A length mismatch fails every slot in every build, instead of reading
+// past the end of `outs`.
+TEST(VrfTest, VerifyBatchRejectsLengthMismatch) {
+  KeyPair a = KeyPair::FromSeed(16);
+  KeyPair b = KeyPair::FromSeed(17);
+  const Hash256 seed = Sha256Digest("s");
+  const VrfOutput out_a = VrfEvaluate(a, seed);
+  const VrfOutput out_b = VrfEvaluate(b, seed);
+  const std::vector<const PublicKey*> pks = {&a.public_key(),
+                                             &b.public_key()};
+  const std::vector<uint8_t> none(2, 0);
+  EXPECT_EQ(VrfVerifyBatch(pks, seed, {&out_a}, nullptr), none);
+  EXPECT_EQ(VrfVerifyBatch(pks, seed, {&out_a, &out_b, &out_b}, nullptr),
+            none);
+  EXPECT_EQ(VrfVerifyBatch(pks, seed, {&out_a, &out_b}, nullptr),
+            std::vector<uint8_t>(2, 1));
 }
 
 TEST(VrfTest, TicketInUnitInterval) {
