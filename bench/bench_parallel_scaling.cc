@@ -1,9 +1,10 @@
-// Parallel scaling of the deterministic hot paths (DESIGN.md §9):
-// ops/sec by thread count for the selection-game utility scan, the
-// merging-game replicator, Merkle batch roots, and VRF batch
-// verification. Every kernel produces byte-identical results at every
-// thread count (asserted here against the serial run before timing),
-// so the only thing that may change with the thread knob is speed.
+// Parallel scaling of the thread pool's call sites (DESIGN.md §9):
+// batches per second by thread count for VRF evaluation over 32 keys,
+// VRF verification over 48 and Lamport signature verification over
+// 128 — each at the size it runs at. Every kernel produces identical
+// results at every thread count (asserted here against the serial run
+// before timing, so the bench doubles as a CI identity gate); the only
+// thing the thread knob may change is speed.
 //
 // Emits BENCH_parallel.json into the working directory for CI
 // artifact collection.
@@ -19,9 +20,7 @@
 #include "bench/bench_util.h"
 #include "bench/emit_json.h"
 #include "common/rng.h"
-#include "core/unification.h"
-#include "core/unification_codec.h"
-#include "crypto/merkle.h"
+#include "crypto/keys.h"
 #include "crypto/vrf.h"
 #include "parallel/thread_pool.h"
 
@@ -58,12 +57,6 @@ double MeasureOpsPerSec(const std::function<uint64_t()>& op) {
   return static_cast<double>(iters) / elapsed;
 }
 
-uint64_t Checksum(const Bytes& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (uint8_t b : bytes) h = (h ^ b) * 1099511628211ull;
-  return h;
-}
-
 /// A kernel exposes one operation parameterized by a pool; the harness
 /// verifies parallel output equals serial output, then times it at
 /// every thread count.
@@ -72,56 +65,43 @@ struct Kernel {
   std::function<uint64_t(ThreadPool*)> op;
 };
 
+/// `n` Lamport key pairs from a fixed seed.
+std::vector<KeyPair> MakeKeys(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<KeyPair> keys;
+  keys.reserve(n);
+  for (size_t i = 0; i < n; ++i) keys.push_back(KeyPair::Generate(&rng));
+  return keys;
+}
+
+uint64_t FlagChecksum(const std::vector<uint8_t>& flags) {
+  uint64_t h = 0;
+  for (uint8_t v : flags) h = h * 31 + v;
+  return h;
+}
+
+/// The pool's call sites in src/, each at the size it runs at.
 std::vector<Kernel> BuildKernels() {
   std::vector<Kernel> kernels;
 
-  // --- Selection game: per-transaction utility scans in the sweep ---
+  // --- VRF batch evaluation: one per miner at an epoch switch ------
+  // (perfbench sharded_epochs registers 32 miners).
   {
-    auto params = std::make_shared<UnifiedParameters>();
-    Rng rng(101);
-    params->randomness = Sha256Digest("bench.parallel.select");
-    for (int t = 0; t < 4000; ++t) {
-      params->tx_fees.push_back(static_cast<Amount>(1 + rng.Zipf(400, 1.1)));
-    }
-    params->num_miners = 20;
-    params->select_config.capacity = 10;
-    kernels.push_back({"selection_game", [params](ThreadPool* pool) {
-                         return Checksum(codec::EncodeSelectionPlan(
-                             ComputeSelectionPlan(*params, pool)));
+    auto keys = std::make_shared<std::vector<KeyPair>>(MakeKeys(32, 404));
+    const Hash256 seed = Sha256Digest("bench.parallel.vrf.eval");
+    kernels.push_back({"vrf_evaluate_batch_32", [keys, seed](ThreadPool* pool) {
+                         std::vector<const KeyPair*> ptrs;
+                         for (const KeyPair& k : *keys) ptrs.push_back(&k);
+                         uint64_t h = 0;
+                         for (const VrfOutput& out :
+                              VrfEvaluateBatch(ptrs, seed, pool)) {
+                           h = h * 31 + out.value.Prefix64();
+                         }
+                         return h;
                        }});
   }
 
-  // --- Merging game: Monte-Carlo replicator dynamics ----------------
-  {
-    auto params = std::make_shared<UnifiedParameters>();
-    Rng rng(202);
-    params->randomness = Sha256Digest("bench.parallel.merge");
-    for (int s = 0; s < 24; ++s) {
-      params->shard_sizes.push_back(1 + rng.UniformInt(19));
-    }
-    params->merge_config.subslots = 64;
-    params->merge_config.max_slots = 120;
-    params->num_miners = 24;
-    kernels.push_back({"merging_replicator", [params](ThreadPool* pool) {
-                         return Checksum(codec::EncodeMergePlan(
-                             ComputeMergePlan(*params, pool)));
-                       }});
-  }
-
-  // --- Merkle batch root --------------------------------------------
-  {
-    auto leaves = std::make_shared<std::vector<Hash256>>();
-    Rng rng(303);
-    leaves->resize(50'000);
-    for (Hash256& leaf : *leaves) {
-      leaf = Sha256Digest("leaf." + std::to_string(rng.Next()));
-    }
-    kernels.push_back({"merkle_batch_root", [leaves](ThreadPool* pool) {
-                         return MerkleRoot(*leaves, pool).Prefix64();
-                       }});
-  }
-
-  // --- VRF batch verification ---------------------------------------
+  // --- VRF batch verification: the ranked candidates ----------------
   {
     struct VrfFixture {
       std::vector<KeyPair> keys;
@@ -129,24 +109,50 @@ std::vector<Kernel> BuildKernels() {
       Hash256 seed;
     };
     auto fx = std::make_shared<VrfFixture>();
-    Rng rng(404);
+    fx->keys = MakeKeys(48, 505);
     fx->seed = Sha256Digest("bench.parallel.vrf");
-    for (int i = 0; i < 48; ++i) {
-      fx->keys.push_back(KeyPair::Generate(&rng));
-      fx->outs.push_back(VrfEvaluate(fx->keys.back(), fx->seed));
+    for (const KeyPair& k : fx->keys) {
+      fx->outs.push_back(VrfEvaluate(k, fx->seed));
     }
-    kernels.push_back({"vrf_verify_batch", [fx](ThreadPool* pool) {
+    kernels.push_back({"vrf_verify_batch_48", [fx](ThreadPool* pool) {
                          std::vector<const PublicKey*> pks;
                          std::vector<const VrfOutput*> outs;
                          for (size_t i = 0; i < fx->keys.size(); ++i) {
                            pks.push_back(&fx->keys[i].public_key());
                            outs.push_back(&fx->outs[i]);
                          }
-                         const std::vector<uint8_t> valid =
-                             VrfVerifyBatch(pks, fx->seed, outs, pool);
-                         uint64_t h = 0;
-                         for (uint8_t v : valid) h = h * 31 + v;
-                         return h;
+                         return FlagChecksum(
+                             VrfVerifyBatch(pks, fx->seed, outs, pool));
+                       }});
+  }
+
+  // --- Signed admission: one AddSignedBatch of 128 signatures --------
+  // (perfbench signed_stream's batch).
+  {
+    struct SigFixture {
+      std::vector<KeyPair> keys;
+      std::vector<Hash256> digests;
+      std::vector<Signature> sigs;
+    };
+    auto fx = std::make_shared<SigFixture>();
+    fx->keys = MakeKeys(128, 606);
+    for (size_t i = 0; i < fx->keys.size(); ++i) {
+      fx->digests.push_back(Sha256Digest("tx." + std::to_string(i)));
+      fx->sigs.push_back(fx->keys[i].Sign(fx->digests.back()));
+    }
+    // One forged slot, so the identity gate also checks positions.
+    fx->sigs[77] = fx->keys[77].Sign(Sha256Digest("forged"));
+    kernels.push_back({"verify_batch_128", [fx](ThreadPool* pool) {
+                         std::vector<const PublicKey*> pks;
+                         std::vector<const Hash256*> digests;
+                         std::vector<const Signature*> sigs;
+                         for (size_t i = 0; i < fx->keys.size(); ++i) {
+                           pks.push_back(&fx->keys[i].public_key());
+                           digests.push_back(&fx->digests[i]);
+                           sigs.push_back(&fx->sigs[i]);
+                         }
+                         return FlagChecksum(
+                             VerifyBatch(pks, digests, sigs, pool));
                        }});
   }
   return kernels;

@@ -156,6 +156,15 @@ echo "==== bench_churn_recovery (handoff verification gate) ===="
 (cd "$prefix-release" && ./bench/bench_churn_recovery)
 echo "artifact: $prefix-release/BENCH_churn.json"
 
+# Thread-pool scaling bench. Also a correctness gate: it aborts unless
+# every batch the pool runs in src/ (VRF evaluation and verification,
+# Lamport signature verification, each at its real size) is identical
+# to the serial result at every thread count before it times them
+# (DESIGN.md §9). Artifact: BENCH_parallel.json.
+echo "==== bench_parallel_scaling (serial/parallel identity gate) ===="
+(cd "$prefix-release" && ./bench/bench_parallel_scaling)
+echo "artifact: $prefix-release/BENCH_parallel.json"
+
 # Million-tx mempool/pipeline bench. Also a correctness gate: it aborts
 # unless the pipelined drain is byte-identical to the serial mine loop
 # at every commit-queue depth — blocks, state root, residual pool —

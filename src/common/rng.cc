@@ -20,6 +20,13 @@ uint64_t SplitMix64(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
+uint64_t ChunkSeed(uint64_t base, uint64_t index) {
+  uint64_t state = base;
+  (void)SplitMix64(&state);
+  state ^= index;
+  return SplitMix64(&state);
+}
+
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (uint64_t& word : s_) word = SplitMix64(&sm);

@@ -75,6 +75,11 @@ class Rng {
 /// because it is also the hash-mixing core used in a few places.
 uint64_t SplitMix64(uint64_t* state);
 
+/// Deterministic per-chunk seed: SplitMix64 over (base, index) — the
+/// same construction FaultPlan::Mix uses — so a chunk's RNG stream
+/// depends only on its logical index (DESIGN.md §9, rule 4).
+uint64_t ChunkSeed(uint64_t base, uint64_t index);
+
 }  // namespace shardchain
 
 #endif  // SHARDCHAIN_COMMON_RNG_H_

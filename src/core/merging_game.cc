@@ -5,16 +5,23 @@
 #include <cmath>
 #include <numeric>
 
-#include "parallel/parallel.h"
-
 namespace shardchain {
 
 namespace {
 
-/// Subslots per chunk in the Monte-Carlo payoff estimation. Fixed, so
-/// the chunk decomposition — and with it each chunk's derived RNG
-/// stream — depends only on the subslot count, never the thread count.
+/// Subslots (or players) per chunk. Each chunk draws from its own
+/// ChunkSeed stream and sums into its own partial, folded in chunk
+/// order; this layout fixes the plan bytes (DESIGN.md §9).
 constexpr size_t kSubslotGrain = 4;
+
+/// Runs `body(begin, end, chunk)` over [0, n) in chunks of
+/// kSubslotGrain, in chunk order.
+template <typename Body>
+void ForEachChunk(size_t n, const Body& body) {
+  for (size_t c = 0; c * kSubslotGrain < n; ++c) {
+    body(c * kSubslotGrain, std::min(n, (c + 1) * kSubslotGrain), c);
+  }
+}
 
 /// Per-subslot utility of player i (Eq. 14): the shard reward G is won
 /// by every small-shard player when the drawn coalition satisfies
@@ -58,38 +65,27 @@ Draw SampleDraw(const std::vector<uint64_t>& sizes,
 double MergeUtility(const std::vector<uint64_t>& sizes,
                     const std::vector<double>& probs, size_t player,
                     bool merge, const MergingGameConfig& config,
-                    size_t mc_samples, Rng* rng, ThreadPool* pool) {
+                    size_t mc_samples, Rng* rng) {
   assert(player < sizes.size());
   std::vector<double> fixed = probs;
   fixed[player] = merge ? 1.0 : 0.0;
   const uint64_t base = rng->Next();
-  const double total = ParallelReduce(
-      pool, mc_samples, kSubslotGrain, 0.0,
-      [&sizes, &fixed, &config, base,
-       merge](size_t begin, size_t end, size_t chunk) {
-        Rng sub(ChunkSeed(base, chunk));
-        double partial = 0.0;
-        for (size_t s = begin; s < end; ++s) {
-          const Draw d = SampleDraw(sizes, fixed, config.min_shard_size, &sub);
-          partial += SubslotUtility(merge, d.satisfied, config);
-        }
-        return partial;
-      },
-      [](double acc, double partial) { return acc + partial; });
+  double total = 0.0;
+  ForEachChunk(mc_samples, [&](size_t begin, size_t end, size_t chunk) {
+    Rng sub(ChunkSeed(base, chunk));
+    double partial = 0.0;
+    for (size_t s = begin; s < end; ++s) {
+      const Draw d = SampleDraw(sizes, fixed, config.min_shard_size, &sub);
+      partial += SubslotUtility(merge, d.satisfied, config);
+    }
+    total += partial;
+  });
   return total / static_cast<double>(mc_samples);
 }
 
-/// Per-chunk payoff partials accumulated over one chunk of subslots.
-struct SubslotPartial {
-  std::vector<double> merge;    // Σ u over draws where player i merged.
-  std::vector<double> mixed;    // Σ u over all draws.
-  std::vector<uint32_t> draws;  // # draws where player i merged.
-};
-
 // flowlint: deterministic-root — consensus entry point (DESIGN.md §7)
 OneTimeMergeResult RunOneTimeMerge(const std::vector<uint64_t>& sizes,
-                                   const MergingGameConfig& config, Rng* rng,
-                                   ThreadPool* pool) {
+                                   const MergingGameConfig& config, Rng* rng) {
   assert(rng != nullptr);
   OneTimeMergeResult result;
   const size_t n = sizes.size();
@@ -105,8 +101,10 @@ OneTimeMergeResult RunOneTimeMerge(const std::vector<uint64_t>& sizes,
   std::vector<double> avg_merge(n, 0.0);   // Ū_i(Y, x_-i), Eq. 12.
   std::vector<double> avg_mixed(n, 0.0);   // Ū_i(x_i), Eq. 13.
   std::vector<uint32_t> merge_draws(n, 0);
-  std::vector<SubslotPartial> partials(
-      NumChunks(config.subslots, kSubslotGrain));
+  // One chunk's payoff sums: Σ u over draws where player i merged, and
+  // over all draws.
+  std::vector<double> chunk_merge(n);
+  std::vector<double> chunk_mixed(n);
 
   for (size_t slot = 0; slot < config.max_slots; ++slot) {
     std::fill(avg_merge.begin(), avg_merge.end(), 0.0);
@@ -115,40 +113,32 @@ OneTimeMergeResult RunOneTimeMerge(const std::vector<uint64_t>& sizes,
 
     // M subslots: every player tosses her coin, utilities are recorded
     // (Algorithm 3, lines 2-6). One base draw from the slot's shared
-    // stream seeds an independent stream per chunk of subslots; the
-    // per-chunk partials are then folded in chunk order, so the slot
-    // consumes exactly one value of `rng` and the sums are bit-equal at
-    // every thread count.
+    // stream seeds an independent stream per chunk of subslots, and
+    // each chunk's sums are added in chunk order, so the slot consumes
+    // exactly one value of `rng`.
     const uint64_t slot_base = rng->Next();
-    ParallelChunks(pool, config.subslots, kSubslotGrain,
-                   [&partials, &x, &sizes, &config, slot_base,
-                    n](size_t begin, size_t end, size_t chunk) {
-                     SubslotPartial& p = partials[chunk];
-                     p.merge.assign(n, 0.0);
-                     p.mixed.assign(n, 0.0);
-                     p.draws.assign(n, 0u);
-                     Rng sub(ChunkSeed(slot_base, chunk));
-                     for (size_t q = begin; q < end; ++q) {
-                       const Draw d =
-                           SampleDraw(sizes, x, config.min_shard_size, &sub);
-                       for (size_t i = 0; i < n; ++i) {
-                         const double u = SubslotUtility(d.merged[i] != 0,
-                                                         d.satisfied, config);
-                         p.mixed[i] += u;
-                         if (d.merged[i]) {
-                           p.merge[i] += u;
-                           ++p.draws[i];
-                         }
-                       }
-                     }
-                   });
-    for (const SubslotPartial& p : partials) {
-      for (size_t i = 0; i < n; ++i) {
-        avg_merge[i] += p.merge[i];
-        avg_mixed[i] += p.mixed[i];
-        merge_draws[i] += p.draws[i];
+    ForEachChunk(config.subslots, [&](size_t begin, size_t end,
+                                      size_t chunk) {
+      std::fill(chunk_merge.begin(), chunk_merge.end(), 0.0);
+      std::fill(chunk_mixed.begin(), chunk_mixed.end(), 0.0);
+      Rng sub(ChunkSeed(slot_base, chunk));
+      for (size_t q = begin; q < end; ++q) {
+        const Draw d = SampleDraw(sizes, x, config.min_shard_size, &sub);
+        for (size_t i = 0; i < n; ++i) {
+          const double u =
+              SubslotUtility(d.merged[i] != 0, d.satisfied, config);
+          chunk_mixed[i] += u;
+          if (d.merged[i]) {
+            chunk_merge[i] += u;
+            ++merge_draws[i];
+          }
+        }
       }
-    }
+      for (size_t i = 0; i < n; ++i) {
+        avg_merge[i] += chunk_merge[i];
+        avg_mixed[i] += chunk_mixed[i];
+      }
+    });
 
     // Replicator update (Eq. 11) on the merge probability.
     double max_delta = 0.0;
@@ -272,12 +262,12 @@ IterativeMergeResult IterateMerging(const std::vector<uint64_t>& sizes,
 // flowlint: deterministic-root — consensus entry point (DESIGN.md §7)
 IterativeMergeResult RunIterativeMerge(const std::vector<uint64_t>& sizes,
                                        const MergingGameConfig& config,
-                                       Rng* rng, ThreadPool* pool) {
+                                       Rng* rng) {
   assert(rng != nullptr);
   return IterateMerging(
       sizes, config.min_shard_size, /*max_failures=*/8,
       [&](const std::vector<uint64_t>& rem, size_t* slots) {
-        OneTimeMergeResult one = RunOneTimeMerge(rem, config, rng, pool);
+        OneTimeMergeResult one = RunOneTimeMerge(rem, config, rng);
         *slots += one.slots_used;
         return one.formed ? one.merged : std::vector<size_t>{};
       });
@@ -286,41 +276,31 @@ IterativeMergeResult RunIterativeMerge(const std::vector<uint64_t>& sizes,
 // flowlint: deterministic-root — consensus entry point (DESIGN.md §7)
 IterativeMergeResult RunRandomizedMerge(const std::vector<uint64_t>& sizes,
                                         const MergingGameConfig& config,
-                                        Rng* rng, double merge_prob,
-                                        ThreadPool* pool) {
+                                        Rng* rng, double merge_prob) {
   assert(rng != nullptr);
   // One joint coin flip: the shards that say yes form the (single) new
   // shard if Eq. 1 holds, and "the algorithm also stops here"
-  // (Sec. VI-C2) — no iteration over the remainder. The flips fan out
-  // over per-chunk streams seeded off one base draw, each writing its
-  // own flag slot, so the coalition is the same at any thread count.
+  // (Sec. VI-C2) — no iteration over the remainder. Each chunk of
+  // players flips on its own stream seeded off one base draw.
   IterativeMergeResult result;
   result.total_slots = 1;
   const uint64_t base = rng->Next();
   std::vector<uint8_t> joined(sizes.size(), 0);
-  ParallelChunks(pool, sizes.size(), kSubslotGrain,
-                 [&joined, base, merge_prob](size_t begin, size_t end,
-                                             size_t chunk) {
-                   Rng sub(ChunkSeed(base, chunk));
-                   for (size_t i = begin; i < end; ++i) {
-                     joined[i] = sub.Bernoulli(merge_prob) ? 1 : 0;
-                   }
-                 });
   std::vector<size_t> coalition;
   uint64_t coalition_size = 0;
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    if (joined[i]) {
+  ForEachChunk(sizes.size(), [&](size_t begin, size_t end, size_t chunk) {
+    Rng sub(ChunkSeed(base, chunk));
+    for (size_t i = begin; i < end; ++i) {
+      if (!sub.Bernoulli(merge_prob)) continue;
+      joined[i] = 1;
       coalition.push_back(i);
       coalition_size += sizes[i];
     }
-  }
+  });
   const bool formed =
       coalition.size() >= 2 && coalition_size >= config.min_shard_size;
   for (size_t i = 0; i < sizes.size(); ++i) {
-    if (!formed ||
-        std::find(coalition.begin(), coalition.end(), i) == coalition.end()) {
-      result.leftover.push_back(i);
-    }
+    if (!formed || !joined[i]) result.leftover.push_back(i);
   }
   if (formed) result.new_shards.push_back(std::move(coalition));
   return result;

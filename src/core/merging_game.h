@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "parallel/thread_pool.h"
 
 namespace shardchain {
 
@@ -71,14 +70,11 @@ struct OneTimeMergeResult {
 /// converged probabilities. `sizes[i]` is the transaction count of
 /// small shard i.
 ///
-/// `rng` drives one base draw per slot; each chunk of subslots then
-/// runs an independent stream seeded by ChunkSeed(base, chunk), and
-/// the per-chunk payoff partials are combined in chunk order. The
-/// outcome is therefore byte-identical at every thread count,
-/// including `pool == nullptr` (serial, the default).
+/// `rng` drives one base draw per slot; each chunk of four subslots
+/// then runs an independent stream seeded by ChunkSeed(base, chunk),
+/// and the per-chunk payoff sums are added in chunk order.
 OneTimeMergeResult RunOneTimeMerge(const std::vector<uint64_t>& sizes,
-                                   const MergingGameConfig& config, Rng* rng,
-                                   ThreadPool* pool = nullptr);
+                                   const MergingGameConfig& config, Rng* rng);
 
 /// \brief Result of iterative merging (Algorithm 1) or a baseline.
 struct IterativeMergeResult {
@@ -95,11 +91,10 @@ struct IterativeMergeResult {
 };
 
 /// Algorithm 1: repeatedly runs Algorithm 3 on the remaining small
-/// shards while they can still form a shard of size >= L. `pool` is
-/// forwarded to every RunOneTimeMerge invocation.
+/// shards while they can still form a shard of size >= L.
 IterativeMergeResult RunIterativeMerge(const std::vector<uint64_t>& sizes,
                                        const MergingGameConfig& config,
-                                       Rng* rng, ThreadPool* pool = nullptr);
+                                       Rng* rng);
 
 /// The randomized baseline of Sec. VI-C2: each remaining shard joins
 /// the next coalition with probability `merge_prob` (paper: 0.5),
@@ -109,8 +104,7 @@ IterativeMergeResult RunIterativeMerge(const std::vector<uint64_t>& sizes,
 /// that fails Eq. 1 ends the process.
 IterativeMergeResult RunRandomizedMerge(const std::vector<uint64_t>& sizes,
                                         const MergingGameConfig& config,
-                                        Rng* rng, double merge_prob = 0.5,
-                                        ThreadPool* pool = nullptr);
+                                        Rng* rng, double merge_prob = 0.5);
 
 /// The optimum of Fig. 5a: floor(total transactions / L) new shards
 /// ("the system throughput is maximized when the size of all the new
@@ -121,11 +115,11 @@ size_t OptimalNewShards(const std::vector<uint64_t>& sizes,
 /// Expected utilities (Eq. 8/9) under independent merge probabilities
 /// `probs` — exposed for tests of the equilibrium condition. Samples
 /// are drawn from per-chunk streams seeded off one base draw from
-/// `rng`, so the estimate is the same at every thread count.
+/// `rng`, like RunOneTimeMerge's.
 double MergeUtility(const std::vector<uint64_t>& sizes,
                     const std::vector<double>& probs, size_t player,
                     bool merge, const MergingGameConfig& config,
-                    size_t mc_samples, Rng* rng, ThreadPool* pool = nullptr);
+                    size_t mc_samples, Rng* rng);
 
 }  // namespace shardchain
 

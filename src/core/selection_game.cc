@@ -5,8 +5,6 @@
 #include <numeric>
 #include <set>
 
-#include "parallel/parallel.h"
-
 namespace shardchain {
 
 double SelectionUtility(Amount fee, uint32_t others) {
@@ -34,25 +32,16 @@ std::vector<uint32_t> SelectionResult::SelectionCounts(size_t num_txs) const {
 
 namespace {
 
-/// Transactions per chunk in the parallel utility scan. Fixed, so the
-/// scan decomposition is a function of the fee-vector length alone.
-constexpr size_t kScoreGrain = 2048;
-
 /// Picks the best-reply set for one miner: the `capacity` transactions
 /// with the highest fee/(competitors+1) shares, given the selection
 /// counts of the other miners. Ties break toward the lower index so
 /// every miner's computation is reproducible under parameter
-/// unification.
-///
-/// The utility scan fans out over `pool` and writes scores[j] — one
-/// pure double per transaction, each slot written once — so the
-/// subsequent (serial) selection sees identical inputs at any thread
-/// count. `scores` is caller-provided scratch to avoid reallocating in
-/// the sweep loop.
+/// unification. `mine_scratch` and `scores` are caller-provided scratch
+/// to avoid reallocating in the sweep loop.
 std::vector<size_t> BestReply(const std::vector<Amount>& fees,
                               const std::vector<uint32_t>& counts,
                               const std::vector<size_t>& current,
-                              size_t capacity, ThreadPool* pool,
+                              size_t capacity,
                               std::vector<uint8_t>* mine_scratch,
                               std::vector<double>* scores) {
   const size_t t = fees.size();
@@ -63,10 +52,10 @@ std::vector<size_t> BestReply(const std::vector<Amount>& fees,
   for (size_t j : current) mine[j] = 1;
 
   scores->resize(t);
-  ParallelFor(pool, t, kScoreGrain, [&counts, &mine, &fees, scores](size_t j) {
+  for (size_t j = 0; j < t; ++j) {
     const uint32_t others = counts[j] - (mine[j] ? 1 : 0);
     (*scores)[j] = SelectionUtility(fees[j], others);
-  });
+  }
 
   std::vector<size_t> order(t);
   std::iota(order.begin(), order.end(), 0);
@@ -100,8 +89,7 @@ double SetUtility(const std::vector<Amount>& fees,
 // flowlint: deterministic-root — consensus entry point (DESIGN.md §7)
 SelectionResult RunSelectionGame(const std::vector<Amount>& fees,
                                  size_t num_miners,
-                                 const SelectionGameConfig& config, Rng* rng,
-                                 ThreadPool* pool) {
+                                 const SelectionGameConfig& config, Rng* rng) {
   assert(rng != nullptr);
   SelectionResult result;
   result.assignment.assign(num_miners, {});
@@ -138,7 +126,7 @@ SelectionResult RunSelectionGame(const std::vector<Amount>& fees,
     for (size_t i = 0; i < num_miners; ++i) {
       std::vector<size_t>& mine = result.assignment[i];
       std::vector<size_t> best =
-          BestReply(fees, counts, mine, take, pool, &mine_scratch, &scores);
+          BestReply(fees, counts, mine, take, &mine_scratch, &scores);
       if (best == mine) continue;
       const double current_u = SetUtility(fees, counts, mine, true);
       // Score the candidate against counts with this miner removed.

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "parallel/thread_pool.h"
 #include "types/transaction.h"
 
 namespace shardchain {
@@ -49,16 +48,9 @@ double SelectionUtility(Amount fee, uint32_t others);
 /// verifiable leader would broadcast under parameter unification
 /// (Sec. IV-C); passing the same seed everywhere makes every miner
 /// compute the identical assignment.
-///
-/// `pool` parallelizes the per-transaction utility scan inside each
-/// best reply (the scores are pure functions of the shared counts, so
-/// the scan is order-free); the best-reply sweep itself stays strictly
-/// sequential — its miner order IS the algorithm. Output is
-/// byte-identical at any thread count, including nullptr (serial).
 SelectionResult RunSelectionGame(const std::vector<Amount>& fees,
                                  size_t num_miners,
-                                 const SelectionGameConfig& config, Rng* rng,
-                                 ThreadPool* pool = nullptr);
+                                 const SelectionGameConfig& config, Rng* rng);
 
 /// The Ethereum default every miner follows without the game: all
 /// miners take the same top-`capacity` transactions by fee.

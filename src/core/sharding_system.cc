@@ -5,7 +5,6 @@
 #include <string>
 
 #include "chain/pipeline.h"
-#include "parallel/parallel.h"
 #include "types/codec.h"
 
 namespace shardchain {
@@ -378,11 +377,10 @@ Result<std::vector<Hash256>> ShardingSystem::MineBlocksPipelined(NodeId miner,
   return produced.hashes;
 }
 
-Result<Hash256> ShardingSystem::ReceiveBlockBytes(const Bytes& wire,
-                                                  const Hash256& packer_id) {
+Result<Hash256> ShardingSystem::ReceiveBlockBytes(const Bytes& wire) {
   Block block;
   SHARDCHAIN_ASSIGN_OR_RETURN(block, codec::DecodeBlock(wire));
-  SHARDCHAIN_RETURN_IF_ERROR(VerifyIncomingBlock(block, packer_id));
+  SHARDCHAIN_RETURN_IF_ERROR(VerifyIncomingBlock(block));
   auto it = shards_.find(ResolveShard(block.header.shard_id));
   if (it == shards_.end()) {
     return Status::NotFound("no local ledger for the block's shard");
@@ -393,23 +391,24 @@ Result<Hash256> ShardingSystem::ReceiveBlockBytes(const Bytes& wire,
   return appended;
 }
 
-Status ShardingSystem::VerifyIncomingBlock(const Block& block,
-                                           const Hash256& packer_id) const {
+Status ShardingSystem::VerifyIncomingBlock(const Block& block) const {
   if (!epoch_active_) {
     return Status::FailedPrecondition("no active epoch");
   }
-  // 1. Is the packer a currently serving miner? The miner set is part
-  //    of the leader's broadcast (Sec. IV-C), so every receiver knows
-  //    it — including who departed or has not entered yet.
+  // 1. Is the packer a currently serving miner? The header's coinbase
+  //    names it: the miner whose fingerprint hashes to that address.
+  //    The miner set is part of the leader's broadcast (Sec. IV-C), so
+  //    every receiver knows it — including who departed or has not
+  //    entered yet.
   const MinerRecord* packer = nullptr;
   for (const MinerRecord& m : miners_) {
-    if (m.id == packer_id) {
+    if (Address::FromHash(m.id) == block.header.miner) {
       packer = &m;
       break;
     }
   }
   if (packer == nullptr) {
-    return Status::Unauthorized("packer is not a registered miner");
+    return Status::Unauthorized("block coinbase is not a registered miner");
   }
   if (packer->status == MinerStatus::kPending ||
       packer->status == MinerStatus::kDeparted) {
@@ -417,7 +416,7 @@ Status ShardingSystem::VerifyIncomingBlock(const Block& block,
   }
   // 2. Does the packer really correspond to the ShardID in the header?
   SHARDCHAIN_RETURN_IF_ERROR(VerifyShardMembership(
-      randomness_, packer_id, fractions_, block.header.shard_id));
+      randomness_, packer->id, fractions_, block.header.shard_id));
   // 3. Structural integrity of the body against the header.
   if (block.header.tx_root != block.ComputeTxRoot()) {
     return Status::Corruption("tx root does not match block body");
@@ -628,7 +627,7 @@ IterativeMergeResult ShardingSystem::MergeSmallShards() {
   params.shard_sizes = sizes;
   params.num_miners = LiveMinerCount();
   params.merge_config = config_.merge;
-  const IterativeMergeResult plan = ComputeMergePlan(params, pool_.get());
+  const IterativeMergeResult plan = ComputeMergePlan(params);
 
   for (const std::vector<size_t>& group : plan.new_shards) {
     if (group.empty()) continue;
@@ -704,12 +703,7 @@ std::vector<ShardSelectionPlan> ShardingSystem::ComputeShardSelectionPlans()
   }
 
   std::vector<ShardSelectionPlan> plans(live.size());
-  // One shard per chunk: each plan is an independent computation
-  // writing its own slot. The per-shard games receive the pool too, but
-  // nested regions serialize inline, so the fan-out level wins when
-  // there are many shards and the inner scan wins when there are few.
-  ParallelFor(pool_.get(), live.size(), /*grain=*/1,
-              [this, &live, &plans, &miners_per_shard](size_t k) {
+  for (size_t k = 0; k < live.size(); ++k) {
     const ShardId shard = live[k];
     ShardSelectionPlan& out = plans[k];
     out.shard = shard;
@@ -733,11 +727,8 @@ std::vector<ShardSelectionPlan> ShardingSystem::ComputeShardSelectionPlans()
     out.params.num_miners = miners_per_shard[k];
     out.params.merge_config = config_.merge;
     out.params.select_config = config_.select;
-    // The games' inner parallel regions serialize inline under
-    // ThreadPool::InParallelRegion() (§9): byte-identical to serial.
-    // flowlint:allow(parallel-body-effects): nested regions flatten
-    out.plan = ComputeSelectionPlan(out.params, pool_.get());
-  });
+    out.plan = ComputeSelectionPlan(out.params);
+  }
   return plans;
 }
 

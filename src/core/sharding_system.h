@@ -34,9 +34,9 @@ struct ShardingSystemConfig {
   MergingGameConfig merge;
   SelectionGameConfig select;
   /// Local execution knob: how many threads the system's deterministic
-  /// pool uses for the hot paths (VRF batches, game plans, per-shard
-  /// fan-out). Never serialized, never part of UnifiedParameters — at
-  /// any setting every output byte matches `threads = 1` (DESIGN.md §9).
+  /// pool uses for the VRF batches. Never serialized, never part of
+  /// UnifiedParameters — at any setting every output byte matches
+  /// `threads = 1` (DESIGN.md §9).
   ParallelConfig parallel;
 };
 
@@ -199,16 +199,16 @@ class ShardingSystem {
   Result<std::vector<Hash256>> MineBlocksPipelined(NodeId miner, size_t count);
 
   /// Receive-side verification a miner applies to a foreign block
-  /// (Sec. III-C): the packer must really belong to the block's
-  /// ShardID, and the header must carry a shard this system knows.
-  Status VerifyIncomingBlock(const Block& block,
-                             const Hash256& packer_id) const;
+  /// (Sec. III-C): the header's coinbase must be a serving miner's
+  /// (`Address::FromHash` of its fingerprint), that miner must really
+  /// belong to the block's ShardID, and the body must match the tx
+  /// root.
+  Status VerifyIncomingBlock(const Block& block) const;
 
   /// Full wire-level receive path: decode the block bytes, run the
   /// Sec. III-C verifications, and append to the shard ledger. This is
   /// what a miner does with a gossiped block. Returns the block hash.
-  Result<Hash256> ReceiveBlockBytes(const Bytes& wire,
-                                    const Hash256& packer_id);
+  Result<Hash256> ReceiveBlockBytes(const Bytes& wire);
 
   // --- Cross-shard migration (DESIGN.md §12) ----------------------------
 
@@ -268,9 +268,8 @@ class ShardingSystem {
   /// Computes every live shard's transaction-selection plan (Alg. 2)
   /// from public data: per-shard randomness derived from the epoch
   /// randomness and the shard id, the shard's pending fees in canonical
-  /// pool order, and its miner count. Shards fan out over the system
-  /// pool — each plan fills a distinct slot — and the result is ordered
-  /// by shard id, so the vector is byte-identical at any thread count.
+  /// pool order, and its miner count. The result is ordered by shard
+  /// id.
   std::vector<ShardSelectionPlan> ComputeShardSelectionPlans() const;
 
   /// The system's deterministic thread pool (nullptr when
@@ -339,8 +338,8 @@ class ShardingSystem {
   void FlushPendingEvictions();
 
   ShardingSystemConfig config_;
-  /// Created once from config_.parallel; stays null for threads = 1 so
-  /// the serial path has zero pool overhead.
+  /// Created once from config_.parallel for the VRF batches; stays null
+  /// for threads = 1 so the serial path has zero pool overhead.
   std::unique_ptr<ThreadPool> pool_;
   Rng rng_;
   StateDB genesis_state_;

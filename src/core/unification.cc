@@ -15,17 +15,15 @@ uint64_t UnifiedParameters::SeedFor(const char* domain) const {
   return h.Finalize().Prefix64();
 }
 
-IterativeMergeResult ComputeMergePlan(const UnifiedParameters& params,
-                                      ThreadPool* pool) {
+IterativeMergeResult ComputeMergePlan(const UnifiedParameters& params) {
   Rng rng(params.SeedFor("merge"));
-  return RunIterativeMerge(params.shard_sizes, params.merge_config, &rng, pool);
+  return RunIterativeMerge(params.shard_sizes, params.merge_config, &rng);
 }
 
-SelectionResult ComputeSelectionPlan(const UnifiedParameters& params,
-                                     ThreadPool* pool) {
+SelectionResult ComputeSelectionPlan(const UnifiedParameters& params) {
   Rng rng(params.SeedFor("select"));
   return RunSelectionGame(params.tx_fees, params.num_miners,
-                          params.select_config, &rng, pool);
+                          params.select_config, &rng);
 }
 
 Status VerifySelection(const UnifiedParameters& params, size_t miner_index,

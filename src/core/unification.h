@@ -42,16 +42,12 @@ struct UnifiedParameters {
 };
 
 /// Every miner's local, deterministic computation of the merge plan —
-/// identical outputs given identical parameters. `pool` only changes
-/// how fast the plan is computed, never its bytes (DESIGN.md §9); it is
-/// a local knob and deliberately NOT part of UnifiedParameters.
-IterativeMergeResult ComputeMergePlan(const UnifiedParameters& params,
-                                      ThreadPool* pool = nullptr);
+/// identical outputs given identical parameters.
+IterativeMergeResult ComputeMergePlan(const UnifiedParameters& params);
 
 /// Every miner's local, deterministic computation of the transaction
-/// assignment. Same pool contract as ComputeMergePlan.
-SelectionResult ComputeSelectionPlan(const UnifiedParameters& params,
-                                     ThreadPool* pool = nullptr);
+/// assignment.
+SelectionResult ComputeSelectionPlan(const UnifiedParameters& params);
 
 /// Receive-side checks (Sec. IV-C): honest miners compare a peer's
 /// behaviour against the locally computed output and reject liars.

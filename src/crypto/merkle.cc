@@ -2,27 +2,19 @@
 
 #include <cassert>
 
-#include "parallel/parallel.h"
-
 namespace shardchain {
 
 namespace {
 
-/// Pair hashes per chunk when a level is reduced in parallel. Fixed, so
-/// chunk boundaries never depend on the thread count; small enough that
-/// transaction-batch levels (thousands of nodes) split across cores.
-constexpr size_t kMerkleGrain = 256;
-
 /// One reduction step: next[i] = H(prev[2i] ‖ prev[2i+1]) with the odd
-/// tail paired with itself. Every output slot is written exactly once.
-std::vector<Hash256> ReduceLevel(const std::vector<Hash256>& prev,
-                                 ThreadPool* pool) {
+/// tail paired with itself.
+std::vector<Hash256> ReduceLevel(const std::vector<Hash256>& prev) {
   std::vector<Hash256> next((prev.size() + 1) / 2);
-  ParallelFor(pool, next.size(), kMerkleGrain, [&next, &prev](size_t i) {
+  for (size_t i = 0; i < next.size(); ++i) {
     const Hash256& left = prev[2 * i];
     const Hash256& right = (2 * i + 1 < prev.size()) ? prev[2 * i + 1] : left;
     next[i] = HashPair(left, right);
-  });
+  }
   return next;
 }
 
@@ -35,7 +27,7 @@ MerkleTree::MerkleTree(std::vector<Hash256> leaves) {
   }
   levels_.push_back(std::move(leaves));
   while (levels_.back().size() > 1) {
-    levels_.push_back(ReduceLevel(levels_.back(), nullptr));
+    levels_.push_back(ReduceLevel(levels_.back()));
   }
   root_ = levels_.back()[0];
 }
@@ -58,10 +50,10 @@ MerkleProof MerkleTree::Prove(size_t index) const {
   return proof;
 }
 
-Hash256 MerkleRoot(const std::vector<Hash256>& leaves, ThreadPool* pool) {
+Hash256 MerkleRoot(const std::vector<Hash256>& leaves) {
   if (leaves.empty()) return Hash256::Zero();
   std::vector<Hash256> level = leaves;
-  while (level.size() > 1) level = ReduceLevel(level, pool);
+  while (level.size() > 1) level = ReduceLevel(level);
   return level[0];
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "crypto/sha256.h"
-#include "parallel/thread_pool.h"
 
 namespace shardchain {
 
@@ -40,12 +39,7 @@ class MerkleTree {
 };
 
 /// Computes just the root of `leaves` without materializing the tree.
-/// `pool` parallelizes the per-level pair hashing over fixed chunks of
-/// output positions; each HashPair is a pure function of its two
-/// inputs written to a distinct slot, so the root is identical at any
-/// thread count. nullptr (the default) hashes serially.
-Hash256 MerkleRoot(const std::vector<Hash256>& leaves,
-                   ThreadPool* pool = nullptr);
+Hash256 MerkleRoot(const std::vector<Hash256>& leaves);
 
 /// Verifies that `leaf` at the position encoded by `proof` hashes up to
 /// `root`.

@@ -3,11 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <vector>
 
-#include "common/rng.h"
 #include "parallel/thread_pool.h"
 
 namespace shardchain {
@@ -21,13 +17,11 @@ namespace shardchain {
 ///      [c*grain, min(n, (c+1)*grain)).
 ///   2. DISJOINT WRITES — a chunk may only write state no other chunk
 ///      touches (its own output slots / its own partial accumulator).
-///   3. ORDERED REDUCTION — partial results are combined serially in
-///      chunk order on the calling thread, so floating-point sums see
-///      the exact same addition order at every thread count, including
-///      the pool-free serial path (which walks the same chunks).
+///   3. ORDERED REDUCTION — per-chunk results are combined serially in
+///      chunk order on the calling thread, never in completion order.
 ///   4. PER-CHUNK SEEDING — randomized chunk work derives its RNG
-///      stream from ChunkSeed(base, index), never from a shared
-///      sequential generator.
+///      stream from ChunkSeed(base, index) (common/rng.h), never from a
+///      shared sequential generator.
 ///
 /// Under these rules the pool's scheduling freedom (which thread runs
 /// which chunk, in what order) cannot leak into any result byte.
@@ -36,17 +30,6 @@ namespace shardchain {
 inline size_t NumChunks(size_t n, size_t grain) {
   const size_t g = grain == 0 ? 1 : grain;
   return (n + g - 1) / g;
-}
-
-/// Deterministic per-chunk seed: SplitMix64 over (base, index) — the
-/// same construction FaultPlan::Mix uses — so a chunk's RNG stream
-/// depends only on its logical index, never on which thread runs it or
-/// how many peers run beside it.
-inline uint64_t ChunkSeed(uint64_t base, uint64_t index) {
-  uint64_t state = base;
-  (void)SplitMix64(&state);
-  state ^= index;
-  return SplitMix64(&state);
 }
 
 /// Runs `body(begin, end, chunk)` over the fixed chunk decomposition of
@@ -81,27 +64,6 @@ void ParallelFor(ThreadPool* pool, size_t n, size_t grain, const Body& body) {
                  [&body](size_t begin, size_t end, size_t) {
                    for (size_t i = begin; i < end; ++i) body(i);
                  });
-}
-
-/// Map-reduce with ordered combination: `map(begin, end, chunk)`
-/// produces one partial per chunk (computed concurrently), then the
-/// partials are folded left-to-right in chunk order on the calling
-/// thread: acc = combine(acc, partial[0]), combine(acc, partial[1]), …
-/// starting from `init`. The fold order is what makes floating-point
-/// reductions bit-stable across thread counts.
-// flowlint: contract-barrier — certified §9 boundary (see ParallelChunks)
-template <typename T, typename MapFn, typename CombineFn>
-T ParallelReduce(ThreadPool* pool, size_t n, size_t grain, T init,
-                 const MapFn& map, const CombineFn& combine) {
-  if (n == 0) return init;
-  std::vector<T> partials(NumChunks(n, grain == 0 ? 1 : grain), init);
-  ParallelChunks(pool, n, grain,
-                 [&partials, &map](size_t begin, size_t end, size_t c) {
-                   partials[c] = map(begin, end, c);
-                 });
-  T acc = init;
-  for (const T& p : partials) acc = combine(acc, p);
-  return acc;
 }
 
 }  // namespace shardchain

@@ -37,14 +37,13 @@ struct ParallelConfig {
 /// Deliberately work-stealing-free: a parallel region is a fixed list
 /// of chunks [0, num_chunks) and idle threads claim the next chunk from
 /// a shared cursor. WHICH thread runs a chunk is scheduler-dependent,
-/// but because every primitive built on top (ParallelFor /
-/// ParallelReduce in parallel.h) makes chunk boundaries a function of
-/// the problem size alone and gives each chunk its own seeded RNG
-/// stream, WHAT each chunk computes — and the order partial results are
-/// combined in — is not. Results are therefore independent of thread
-/// count and scheduling, which is what lets the consensus-critical hot
-/// paths use this pool at all (Sec. IV-C requires every miner to
-/// recompute plans bit-identically).
+/// but because every primitive built on top (ParallelChunks /
+/// ParallelFor in parallel.h) makes chunk boundaries a function of the
+/// problem size alone and each chunk writes only its own slots, WHAT
+/// each chunk computes is not. Results are therefore independent of
+/// thread count and scheduling, which is what lets the consensus-
+/// critical VRF batches use this pool at all (Sec. IV-C requires every
+/// miner to recompute the epoch bit-identically).
 ///
 /// The pool owns `threads - 1` workers; the thread calling Run()
 /// participates as the final lane, so `ThreadPool(1)` spawns nothing

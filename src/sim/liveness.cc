@@ -316,7 +316,7 @@ EpochOutcome EpochLivenessSim::RunEpoch(FaultPlan* faults) {
           codec::DecodeUnifiedParameters(accepted.params_encoding);
       if (params.ok()) {
         const Bytes plan_enc =
-            codec::EncodeMergePlan(ComputeMergePlan(*params, pool_.get()));
+            codec::EncodeMergePlan(ComputeMergePlan(*params));
         d.plan.insert(d.plan.end(), plan_enc.begin(), plan_enc.end());
       }
     }

@@ -43,9 +43,9 @@ struct LivenessConfig {
   /// Every live miner decides at this instant: lowest received view,
   /// or the MaxShard fallback when none arrived.
   double decision_deadline = 12.0;
-  /// Thread pool for the VRF batches and plan recomputation inside the
-  /// sim. Defaults to 1 (strictly serial) so existing chaos schedules
-  /// run unchanged; any setting yields byte-identical outcomes
+  /// Thread pool for the VRF batches inside the sim. Defaults to 1
+  /// (strictly serial) so existing chaos schedules run unchanged; any
+  /// setting yields byte-identical outcomes
   /// (DESIGN.md §9) — the parallel-equivalence suite asserts this.
   ParallelConfig parallel{1};
 

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "core/unification.h"
 #include "core/unification_codec.h"
+#include "seeded_params.h"
 
 namespace shardchain {
 namespace {
@@ -119,6 +120,27 @@ TEST(GoldenVectors, Scenario1TwoShardsOneMiner) { CheckScenario(1); }
 TEST(GoldenVectors, Scenario2TypicalEpoch) { CheckScenario(2); }
 TEST(GoldenVectors, Scenario3AmpleMinimalCoalition) { CheckScenario(3); }
 TEST(GoldenVectors, Scenario4StressTiesAndOvercapacity) { CheckScenario(4); }
+
+TEST(GoldenVectors, TwentySeedPlanDigestsArePinned) {
+  // Each seed's broadcast goes through the wire first, as a miner
+  // receives it; computing both plans must leave it unchanged. The
+  // digests cover every plan byte of all twenty seeds.
+  Sha256 merge;
+  Sha256 select;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const Bytes wire = codec::EncodeUnifiedParameters(ParamsForSeed(seed));
+    Result<UnifiedParameters> params = codec::DecodeUnifiedParameters(wire);
+    ASSERT_TRUE(params.ok()) << "seed " << seed;
+    merge.Update(codec::EncodeMergePlan(ComputeMergePlan(*params)));
+    select.Update(codec::EncodeSelectionPlan(ComputeSelectionPlan(*params)));
+    ASSERT_EQ(codec::EncodeUnifiedParameters(*params), wire)
+        << "parameters mutated: seed " << seed;
+  }
+  EXPECT_EQ(merge.Finalize().ToHex(),
+            "0364d91d23e8e16cdc884974b5ab63c798797786a1a47d8e36b9eed42460ef56");
+  EXPECT_EQ(select.Finalize().ToHex(),
+            "9cdf88e2f48b5a2a41ad1f69268233e4bf292fd260b4fd2afce96a0a5d6ee6ed");
+}
 
 }  // namespace
 }  // namespace shardchain

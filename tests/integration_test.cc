@@ -74,26 +74,18 @@ TEST_F(TwinSystemsTest, BlockMinedHereAppliesThere) {
   ASSERT_TRUE(alice_.BeginEpoch(2).ok());
   ASSERT_TRUE(bob_.BeginEpoch(2).ok());
 
-  // Alice's miner 0 mines; find the block and its packer identity.
+  // Alice's miner 0 mines; find the block.
   Result<Hash256> mined = alice_.MineBlock(0);
   ASSERT_TRUE(mined.ok()) << mined.status().ToString();
   const ShardId shard = alice_.ShardOfMiner(0);
   const Block* block = alice_.ShardLedger(shard)->Find(*mined);
   ASSERT_NE(block, nullptr);
 
-  // Bob derives the same epoch, so miner 0's fingerprint (identical
-  // key material) verifies; he accepts the wire bytes.
-  // Packer id: replicas share seeds, so Bob's miner 0 == Alice's.
-  // Bob reconstructs it from his own records via the assignment check.
-  ShardingSystem probe(SmallConfig(), /*seed=*/99);
-  const Hash256 packer_id = [] {
-    Rng rng(99);
-    return KeyPair::Generate(&rng).public_key().Fingerprint();
-  }();
-  (void)probe;
-
+  // Bob derives the same epoch and holds the same miner keys, so the
+  // block's coinbase names his miner 0, who serves the block's shard;
+  // he accepts the wire bytes.
   const Bytes wire = codec::EncodeBlock(*block);
-  Result<Hash256> received = bob_.ReceiveBlockBytes(wire, packer_id);
+  Result<Hash256> received = bob_.ReceiveBlockBytes(wire);
   ASSERT_TRUE(received.ok()) << received.status().ToString();
   EXPECT_EQ(*received, *mined);
   EXPECT_EQ(bob_.ShardLedger(shard)->CanonicalTxCount(), 1u);
@@ -115,22 +107,42 @@ TEST_F(TwinSystemsTest, TamperedWireBlockRejected) {
   const ShardId shard = alice_.ShardOfMiner(0);
   const Block* block = alice_.ShardLedger(shard)->Find(*mined);
   ASSERT_NE(block, nullptr);
-  const Hash256 packer_id = [] {
-    Rng rng(99);
-    return KeyPair::Generate(&rng).public_key().Fingerprint();
-  }();
 
   // Flip a byte inside the body: either decode or the tx-root check
   // must reject it.
   Bytes wire = codec::EncodeBlock(*block);
   if (wire.size() > 160) wire[160] ^= 0x01;
-  EXPECT_FALSE(bob_.ReceiveBlockBytes(wire, packer_id).ok());
+  EXPECT_FALSE(bob_.ReceiveBlockBytes(wire).ok());
 
-  // A wrong packer identity fails the membership check.
-  const Bytes honest_wire = codec::EncodeBlock(*block);
-  Status st = bob_.ReceiveBlockBytes(honest_wire, Sha256Digest("imposter"))
-                  .status();
-  EXPECT_FALSE(st.ok());
+  // The honest bytes fail too once the packer the coinbase names has
+  // departed on Bob's side.
+  ASSERT_TRUE(bob_.CrashMiner(0).ok());
+  const Status st =
+      bob_.ReceiveBlockBytes(codec::EncodeBlock(*block)).status();
+  EXPECT_EQ(st.code(), Status::Code::kUnauthorized) << st.ToString();
+}
+
+TEST_F(TwinSystemsTest, OutsiderCoinbaseRejected) {
+  SetUpUniverse();
+  ASSERT_TRUE(alice_.SubmitTransaction(tx_).ok());
+  ASSERT_TRUE(bob_.SubmitTransaction(tx_).ok());
+  ASSERT_TRUE(alice_.BeginEpoch(2).ok());
+  ASSERT_TRUE(bob_.BeginEpoch(2).ok());
+
+  // A well-formed block on the serving shard whose coinbase is no
+  // miner's: accepting it would pay its fee and the block reward to an
+  // outsider.
+  const ShardId shard = alice_.ShardOfMiner(0);
+  const Ledger& ledger = *alice_.ShardLedger(shard);
+  const Block forged =
+      ledger.BuildBlock(Addr(0x66), {tx_}, ledger.tip_number() + 1);
+  ASSERT_EQ(forged.transactions.size(), 1u);
+
+  const Status st =
+      bob_.ReceiveBlockBytes(codec::EncodeBlock(forged)).status();
+  EXPECT_EQ(st.code(), Status::Code::kUnauthorized) << st.ToString();
+  EXPECT_EQ(bob_.ShardLedger(shard)->tip_state().BalanceOf(Addr(0x66)), 0u);
+  EXPECT_EQ(bob_.ShardPool(shard)->Size(), 1u);
 }
 
 TEST_F(TwinSystemsTest, EpochChainsAreIdenticalAcrossReplicas) {

@@ -1,3 +1,4 @@
+#include <ios>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -182,6 +183,64 @@ TEST(RandomizedMergeTest, GameYieldsAtLeastAsManyShardsOnAverage) {
         RunRandomizedMerge(sizes, config, &r_rng, 0.5).NumNewShards());
   }
   EXPECT_GE(game_total, random_total);
+}
+
+// --------------------------- Pinned draws --------------------------------
+//
+// The games draw one base value per slot (or per coalition) and run each
+// chunk of four subslots or players on its own ChunkSeed stream, folding
+// the chunk partials in chunk order (DESIGN.md §9). These pins hold that
+// layout fixed: another chunk seed, grain or fold order changes them.
+
+TEST(RandomizedMergeTest, CoalitionsArePinned) {
+  // Fourteen players span four chunks; any two of them reach L = 20.
+  const std::vector<uint64_t> sizes{11, 10, 12, 14, 10, 13, 11,
+                                    15, 10, 12, 16, 10, 11, 13};
+  const std::vector<std::vector<size_t>> expected = {
+      {3, 4, 5, 6, 8, 10, 11, 13}, {0, 1, 4, 7, 8, 9, 12, 13},
+      {2, 6, 8, 13},                {0, 4, 6, 11},
+      {2, 3, 5, 8, 12, 13},         {2, 3, 4, 5, 8, 10, 12},
+  };
+  for (uint64_t seed = 1; seed <= expected.size(); ++seed) {
+    Rng rng(seed);
+    const IterativeMergeResult r =
+        RunRandomizedMerge(sizes, FastConfig(), &rng, 0.5);
+    ASSERT_EQ(r.new_shards.size(), 1u) << "seed " << seed;
+    EXPECT_EQ(r.new_shards[0], expected[seed - 1]) << "seed " << seed;
+  }
+}
+
+TEST(MergeUtilityTest, EstimateIsBitPinned) {
+  // Fractional G and C make every partial sum inexact, so the pinned
+  // doubles also fix the order the chunk partials are added in. 37
+  // samples leave the last chunk short.
+  MergingGameConfig config = FastConfig();
+  config.shard_reward = 0.7;
+  config.merge_cost = 0.3;
+  const std::vector<uint64_t> sizes{4, 9, 6, 12, 3, 8, 5};
+  const std::vector<double> probs{0.2, 0.5, 0.35, 0.8, 0.1, 0.6, 0.45};
+  struct Case {
+    uint64_t seed;
+    size_t player;
+    bool merge;
+    double expected;
+  };
+  const Case cases[] = {
+      {1, 0, true, 0x1.255cb6a8d255cp-2},
+      {2, 0, false, 0x1.18e879c5e18e8p-1},
+      {3, 3, true, 0x1.11fd3b80b11fdp-2},
+      {4, 3, false, 0x1.35f7b282135f8p-3},
+      {5, 6, true, 0x1.88fe9dc0588fep-3},
+      {6, 6, false, 0x1.bd94109afbd95p-2},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    const double u =
+        MergeUtility(sizes, probs, c.player, c.merge, config, 37, &rng);
+    EXPECT_EQ(u, c.expected)
+        << "seed " << c.seed << " player " << c.player << " merge "
+        << c.merge << ": got " << std::hexfloat << u;
+  }
 }
 
 // ------------------------------ Optimal ----------------------------------

@@ -1,13 +1,18 @@
 // Differential serial-vs-parallel suite (ctest label: parallel): the
-// consensus-critical outputs — merge plans, selection plans, unified
-// parameters — are computed at thread counts {1, 2, 3, 4, 7, 8} and
-// their PR-1 codec encodings are asserted byte-identical to the
-// strictly serial threads=1 run. This is the Sec. IV-C requirement in
-// executable form: a miner's plan bytes may not depend on how many
-// cores her machine has. A chaos-suite schedule re-run with threads=4
-// closes the loop end-to-end through the liveness simulator. Concurrent
-// StateDB forks, mutated on pool threads, must match a serial replay
-// while their shared base stays untouched.
+// VRF batches, the only consensus inputs that still fan out over the
+// pool, are computed at thread counts {1, 2, 3, 4, 7, 8} and asserted
+// identical to the serial result. The games take no pool, but their
+// merge and selection plans, computed for twenty seeds side by side on
+// worker threads at each of those counts, must encode to the serial
+// bytes and leave the decoded broadcast unchanged; a whole
+// ShardingSystem epoch — merge plan, per-shard parameters and
+// selection plans — must encode to the same bytes at every thread
+// count. This is the Sec. IV-C requirement in executable form: a
+// miner's plan bytes may not depend on how many cores her machine has.
+// A chaos-suite schedule re-run with threads=4 closes the loop
+// end-to-end through the liveness simulator. Concurrent StateDB forks,
+// mutated on pool threads, must match a serial replay while their
+// shared base stays untouched.
 
 #include <cstdint>
 #include <set>
@@ -19,11 +24,11 @@
 #include "core/sharding_system.h"
 #include "core/unification.h"
 #include "core/unification_codec.h"
-#include "crypto/merkle.h"
 #include "crypto/vrf.h"
 #include "net/faults.h"
 #include "parallel/parallel.h"
 #include "parallel/thread_pool.h"
+#include "seeded_params.h"
 #include "sim/liveness.h"
 #include "state/statedb.h"
 
@@ -33,90 +38,69 @@ namespace {
 const size_t kThreadCounts[] = {1, 2, 3, 4, 7, 8};
 constexpr uint64_t kNumSeeds = 20;
 
-/// A randomized-but-seeded workload for the unified games: shard sizes
-/// straddling L, a skewed fee vector, and a seed-derived randomness.
-UnifiedParameters ParamsForSeed(uint64_t seed) {
-  Rng rng(seed);
-  UnifiedParameters params;
-  params.randomness = Sha256Digest("parallel.eq." + std::to_string(seed));
-  const size_t shards = 3 + rng.UniformInt(10);
-  for (size_t s = 0; s < shards; ++s) {
-    params.shard_sizes.push_back(1 + rng.UniformInt(
-        params.merge_config.min_shard_size));
+/// Asserts that `plan(seed)` gives each seed's serial bytes when the
+/// seeds run side by side, one per task, on a pool of every thread
+/// count. The games take no pool, but a miner may run them on any
+/// thread and beside other work.
+template <typename Plan>
+void ExpectSerialBytesOnEveryPool(const Plan& plan, const char* what) {
+  std::vector<Bytes> serial;
+  for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
+    serial.push_back(plan(seed));
   }
-  const size_t txs = 20 + rng.UniformInt(120);
-  for (size_t t = 0; t < txs; ++t) {
-    params.tx_fees.push_back(static_cast<Amount>(1 + rng.Zipf(50, 1.1)));
+  for (const size_t threads : kThreadCounts) {
+    ThreadPool pool(threads);
+    std::vector<Bytes> on_pool(kNumSeeds);
+    ParallelFor(&pool, kNumSeeds, 1,
+                [&plan, &on_pool](size_t i) { on_pool[i] = plan(i + 1); });
+    for (size_t i = 0; i < kNumSeeds; ++i) {
+      ASSERT_EQ(on_pool[i], serial[i])
+          << what << " bytes diverged: seed " << i + 1 << ", " << threads
+          << " threads";
+    }
   }
-  params.num_miners = 2 + rng.UniformInt(10);
-  params.select_config.capacity = 5;
-  // Small Monte-Carlo load so 20 seeds x 6 thread counts stay fast.
-  params.merge_config.subslots = 16;
-  params.merge_config.max_slots = 60;
-  return params;
 }
 
 TEST(ParallelEquivalence, MergePlanBytesMatchSerialAtEveryThreadCount) {
-  for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
-    const UnifiedParameters params = ParamsForSeed(seed);
-    const Bytes serial = codec::EncodeMergePlan(ComputeMergePlan(params));
-    for (const size_t threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      const Bytes parallel =
-          codec::EncodeMergePlan(ComputeMergePlan(params, &pool));
-      ASSERT_EQ(parallel, serial)
-          << "merge plan bytes diverged: seed " << seed << ", " << threads
-          << " threads";
-    }
-  }
+  ExpectSerialBytesOnEveryPool(
+      [](uint64_t seed) {
+        return codec::EncodeMergePlan(ComputeMergePlan(ParamsForSeed(seed)));
+      },
+      "merge plan");
 }
 
 TEST(ParallelEquivalence, SelectionPlanBytesMatchSerialAtEveryThreadCount) {
-  for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
-    const UnifiedParameters params = ParamsForSeed(seed);
-    const Bytes serial =
-        codec::EncodeSelectionPlan(ComputeSelectionPlan(params));
-    for (const size_t threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      const Bytes parallel =
-          codec::EncodeSelectionPlan(ComputeSelectionPlan(params, &pool));
-      ASSERT_EQ(parallel, serial)
-          << "selection plan bytes diverged: seed " << seed << ", "
-          << threads << " threads";
-    }
-  }
+  ExpectSerialBytesOnEveryPool(
+      [](uint64_t seed) {
+        return codec::EncodeSelectionPlan(
+            ComputeSelectionPlan(ParamsForSeed(seed)));
+      },
+      "selection plan");
 }
 
 TEST(ParallelEquivalence, UnifiedParameterBytesRoundTripUnchanged) {
-  // The broadcast itself is computed serially, but every thread count
-  // must decode it to a value that re-encodes to the same bytes —
-  // plan computation may never mutate its inputs.
+  // Every thread decodes the broadcast to a value that must re-encode
+  // to the same bytes after both plans are computed from it — plan
+  // computation may never mutate its inputs.
+  const auto round_trip = [](uint64_t seed) {
+    const Bytes wire = codec::EncodeUnifiedParameters(ParamsForSeed(seed));
+    Result<UnifiedParameters> decoded = codec::DecodeUnifiedParameters(wire);
+    if (!decoded.ok()) return Bytes();
+    (void)ComputeMergePlan(*decoded);
+    (void)ComputeSelectionPlan(*decoded);
+    return codec::EncodeUnifiedParameters(*decoded);
+  };
   for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
-    const UnifiedParameters params = ParamsForSeed(seed);
-    const Bytes wire = codec::EncodeUnifiedParameters(params);
-    for (const size_t threads : kThreadCounts) {
-      ThreadPool pool(threads);
-      Result<UnifiedParameters> decoded =
-          codec::DecodeUnifiedParameters(wire);
-      ASSERT_TRUE(decoded.ok());
-      (void)ComputeMergePlan(*decoded, &pool);
-      (void)ComputeSelectionPlan(*decoded, &pool);
-      ASSERT_EQ(codec::EncodeUnifiedParameters(*decoded), wire)
-          << "parameters mutated: seed " << seed << ", " << threads
-          << " threads";
-    }
+    ASSERT_EQ(round_trip(seed),
+              codec::EncodeUnifiedParameters(ParamsForSeed(seed)))
+        << "parameters mutated: seed " << seed;
   }
+  ExpectSerialBytesOnEveryPool(round_trip, "unified parameter");
 }
 
-TEST(ParallelEquivalence, MerkleRootAndVrfBatchesMatchSerial) {
+TEST(ParallelEquivalence, VrfBatchesMatchSerial) {
   for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
     Rng rng(seed ^ 0xabcdefull);
-    std::vector<Hash256> leaves(1 + rng.UniformInt(700));
-    for (Hash256& leaf : leaves) {
-      leaf = Sha256Digest("leaf." + std::to_string(rng.Next()));
-    }
-    const Hash256 root = MerkleRoot(leaves);
-
     KeyPair key = KeyPair::Generate(&rng);
     const Hash256 vseed = Sha256Digest("vrf." + std::to_string(seed));
     const VrfOutput vrf = VrfEvaluate(key, vseed);
@@ -126,7 +110,6 @@ TEST(ParallelEquivalence, MerkleRootAndVrfBatchesMatchSerial) {
 
     for (const size_t threads : kThreadCounts) {
       ThreadPool pool(threads);
-      ASSERT_EQ(MerkleRoot(leaves, &pool), root) << threads << " threads";
       const std::vector<VrfOutput> evals =
           VrfEvaluateBatch(keys, vseed, &pool);
       for (const VrfOutput& e : evals) {
@@ -151,7 +134,7 @@ TEST(ParallelEquivalence, ShardingSystemEpochIdenticalAcrossThreadCounts) {
     EXPECT_TRUE(sys.BeginEpoch(0).ok());
     // Shardable workload: each user only ever calls one contract, so
     // shards form around the 4 contracts (Sec. III-A) and the merge
-    // plan plus per-shard fan-out have real work to do.
+    // plan and the per-shard plans have real work to do.
     Rng rng(1234);
     for (int t = 0; t < 60; ++t) {
       Transaction tx;

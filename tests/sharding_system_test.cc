@@ -204,26 +204,27 @@ TEST_F(ShardingSystemTest, IncomingBlockVerification) {
   const Block* block = ledger->Find(*mined);
   ASSERT_NE(block, nullptr);
 
-  // An honest receiver verifies the packer's membership from public
-  // data. We need the packer's real identity hash; replicate it via a
-  // parallel system with the same seed (identical key material).
-  ShardingSystem twin(SmallConfig(), /*seed=*/7);
-  for (int i = 0; i < 3; ++i) twin.AddMiner();
-  // Block claims its true ShardID -> verification passes with the true
-  // packer id (derived in the twin).
+  // An honest receiver finds the packer from the header's coinbase and
+  // verifies its membership from public data.
+  EXPECT_TRUE(system_.VerifyIncomingBlock(*block).ok());
+
   // Cheating on the ShardID must be caught.
   Block forged = *block;
   forged.header.shard_id = block->header.shard_id + 17;
-  const Hash256 bogus_packer = Sha256Digest("not-a-registered-miner");
-  EXPECT_FALSE(system_.VerifyIncomingBlock(forged, bogus_packer).ok());
+  EXPECT_FALSE(system_.VerifyIncomingBlock(forged).ok());
+
+  // A coinbase no miner owns names no packer.
+  Block outsider = *block;
+  outsider.header.miner.bytes.fill(0x66);
+  EXPECT_EQ(system_.VerifyIncomingBlock(outsider).code(),
+            Status::Code::kUnauthorized);
 
   // Tampering with the body breaks the tx root.
   Block tampered = *block;
   if (!tampered.transactions.empty()) {
     tampered.transactions[0].fee += 1;
-    const Status st = system_.VerifyIncomingBlock(
-        tampered, Sha256Digest("any"));
-    EXPECT_FALSE(st.ok());
+    EXPECT_EQ(system_.VerifyIncomingBlock(tampered).code(),
+              Status::Code::kCorruption);
   }
 }
 

@@ -1,13 +1,12 @@
 // Unit tests for the deterministic fork-join pool and the parallel
 // primitives built on it (ctest label: parallel). The contract under
-// test is DESIGN.md §9: fixed chunking, disjoint writes, ordered
-// reduction, per-chunk seeding — so every result is independent of
-// thread count and scheduling, including the pool-free serial path.
+// test is DESIGN.md §9: fixed chunking, disjoint writes, per-chunk
+// seeding — so every result is independent of thread count and
+// scheduling, including the pool-free serial path.
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -64,35 +63,6 @@ TEST(ParallelForTest, ThreadsOneMatchesPoolFreePathBitwise) {
   ThreadPool one(1);
   ParallelFor(&one, n, 64, [&](size_t i) { pooled[i] = body(i); });
   EXPECT_EQ(serial, pooled);
-}
-
-TEST(ParallelReduceTest, OrderedReductionBitStableAcrossThreadCounts) {
-  // Floating-point addition is not associative; only the fixed
-  // chunking + left-to-right fold of per-chunk partials makes the sum
-  // reproducible. Compare full bit patterns against the serial result.
-  const size_t n = 54'321;
-  auto reduce = [&](ThreadPool* pool) {
-    return ParallelReduce(
-        pool, n, 100, 0.0,
-        [](size_t begin, size_t end, size_t) {
-          double partial = 0.0;
-          for (size_t i = begin; i < end; ++i) {
-            partial += 1.0 / (1.0 + static_cast<double>(i) * 1e-3);
-          }
-          return partial;
-        },
-        [](double acc, double p) { return acc + p; });
-  };
-  const double expected = reduce(nullptr);
-  for (const size_t threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    const double got = reduce(&pool);
-    uint64_t eb, gb;
-    static_assert(sizeof(eb) == sizeof(expected));
-    std::memcpy(&eb, &expected, sizeof(eb));
-    std::memcpy(&gb, &got, sizeof(gb));
-    EXPECT_EQ(eb, gb) << "FP sum drifted at " << threads << " threads";
-  }
 }
 
 TEST(ParallelChunksTest, ChunkBoundariesDependOnlyOnSizeAndGrain) {

@@ -19,7 +19,7 @@
 //   nondet:env              getenv()
 //   nondet:hw-threads       hardware_concurrency()
 //   nondet:ptr-order        std::map/set keyed on a pointer
-//   effect:parallel         ParallelFor/ParallelReduce/ParallelChunks
+//   effect:parallel         ParallelFor/ParallelChunks
 //   effect:snapshot         member Snapshot()/RevertTo() (and Commit()
 //                           when the same body opens a bracket)
 //   effect:static-mutation  non-const local static state
@@ -94,7 +94,7 @@ constexpr RuleInfo kRules[] = {
      "bytes from the same broadcast (DESIGN.md §7)"},
     {"parallel-body-effects",
      "a function called (transitively) from inside a "
-     "ParallelFor/ParallelReduce/ParallelChunks body performs snapshot-"
+     "ParallelFor/ParallelChunks body performs snapshot-"
      "journal ops, nested parallelism, or static mutation; the §9 "
      "contract requires parallel bodies to stay effect-free beyond "
      "their disjoint writes"},
@@ -270,7 +270,6 @@ class Analysis {
         {"getenv", "nondet:env", true},
         {"hardware_concurrency", "nondet:hw-threads", false},
         {"ParallelFor", "effect:parallel", true},
-        {"ParallelReduce", "effect:parallel", true},
         {"ParallelChunks", "effect:parallel", true},
     };
     for (const Pattern& p : kPatterns) {
@@ -556,8 +555,7 @@ void Analysis::EmitParallelBodyFindings(std::vector<Finding>* out) const {
     const Source& src = sources_[fn.src_index];
     const std::string& code = src.code();
     std::set<size_t> emitted;  // Nested extents: once per offset.
-    for (const char* name :
-         {"ParallelChunks", "ParallelFor", "ParallelReduce"}) {
+    for (const char* name : {"ParallelChunks", "ParallelFor"}) {
       const std::string token = name;
       size_t pos = fn.def.body_open + 1;
       while ((pos = code.find(token, pos)) != std::string::npos &&

@@ -55,7 +55,7 @@ constexpr RuleInfo kRules[] = {
      "primitives so the determinism contract stays in one place"},
     {"parallel-ref-capture",
      "[&] or by-reference default capture on a lambda at a "
-     "ParallelFor/ParallelReduce/ParallelChunks call site; §9 rule 2 "
+     "ParallelFor/ParallelChunks call site; §9 rule 2 "
      "(disjoint writes) is only reviewable when every captured name is "
      "explicit"},
     {"unseeded-parallel-rng",
@@ -64,15 +64,14 @@ constexpr RuleInfo kRules[] = {
      "makes results depend on chunk scheduling"},
     {"shared-accumulation",
      "+=/push_back on a captured non-local inside a ParallelFor body; "
-     "accumulate into per-chunk slots or use ParallelReduce's ordered "
-     "fold"},
+     "accumulate into per-chunk slots and fold them in chunk order"},
     {"unbalanced-snapshot",
      "Snapshot() whose id does not reach both Commit and RevertTo later "
      "in the enclosing function (scope-based approximation); a one-sided "
      "bracket either pins a whole old state version or loses the rollback "
      "path (§10)"},
     {"nested-parallel",
-     "ParallelFor/ParallelReduce/ParallelChunks lexically inside another "
+     "ParallelFor/ParallelChunks lexically inside another "
      "parallel body; legal but it serializes inline, so it must carry an "
      "explicit waiver acknowledging the flattened schedule"},
 };
@@ -153,7 +152,7 @@ class Scanner {
   }
 
  private:
-  // A ParallelFor/ParallelReduce/ParallelChunks call site and the
+  // A ParallelFor/ParallelChunks call site and the
   // lexical extent of its argument list. The lambda body an invocation
   // carries lives inside [open, close], which is what rules 2–4 and 6
   // scan — a conservative approximation of "the parallel body".
@@ -200,7 +199,7 @@ class Scanner {
   }
 
   void CollectParallelCalls() {
-    for (const char* fn : {"ParallelChunks", "ParallelFor", "ParallelReduce"}) {
+    for (const char* fn : {"ParallelChunks", "ParallelFor"}) {
       const std::string name = fn;
       size_t pos = 0;
       while ((pos = code_.find(name, pos)) != std::string::npos) {

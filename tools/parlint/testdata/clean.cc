@@ -21,8 +21,6 @@ template <typename B>
 void ParallelFor(ThreadPool*, size_t, size_t, const B&);
 template <typename B>
 void ParallelChunks(ThreadPool*, size_t, size_t, const B&);
-template <typename T, typename M, typename C>
-T ParallelReduce(ThreadPool*, size_t, size_t, T, const M&, const C&);
 
 // Disjoint writes with an explicit capture list: every lane owns slot
 // i and nothing else.
@@ -30,19 +28,6 @@ inline void ScaleInPlace(ThreadPool* pool, std::vector<double>* out) {
   ParallelFor(pool, out->size(), 64, [out](size_t i) {
     (*out)[i] = 2.0 * (*out)[i];
   });
-}
-
-// Accumulation through the ordered reduction, not a shared cell; the
-// per-chunk partial is a body-local.
-inline double Sum(ThreadPool* pool, const std::vector<double>& xs) {
-  return ParallelReduce(
-      pool, xs.size(), 64, 0.0,
-      [&xs](size_t begin, size_t end, size_t) {
-        double partial = 0.0;
-        for (size_t i = begin; i < end; ++i) partial += xs[i];
-        return partial;
-      },
-      [](double acc, double p) { return acc + p; });
 }
 
 // Per-chunk slot accumulation: chunk c writes (*slots)[c] only.
