@@ -1,10 +1,10 @@
-// Parallel scaling of the thread pool's call sites (DESIGN.md §9):
-// batches per second by thread count for VRF evaluation over 32 keys,
-// VRF verification over 48 and Lamport signature verification over
-// 128 — each at the size it runs at. Every kernel produces identical
-// results at every thread count (asserted here against the serial run
-// before timing, so the bench doubles as a CI identity gate); the only
-// thing the thread knob may change is speed.
+// Parallel scaling of the thread pool's two call sites (DESIGN.md §9):
+// batches per second by thread count for VRF evaluation over 32 keys
+// and Lamport signature verification over 128 — each at the size it
+// runs at. Every kernel produces identical results at every thread
+// count (asserted here against the serial run before timing, so the
+// bench doubles as a CI identity gate); the only thing the thread knob
+// may change is speed.
 //
 // Emits BENCH_parallel.json into the working directory for CI
 // artifact collection.
@@ -80,7 +80,7 @@ uint64_t FlagChecksum(const std::vector<uint8_t>& flags) {
   return h;
 }
 
-/// The pool's call sites in src/, each at the size it runs at.
+/// The pool's two call sites in src/, each at the size it runs at.
 std::vector<Kernel> BuildKernels() {
   std::vector<Kernel> kernels;
 
@@ -98,31 +98,6 @@ std::vector<Kernel> BuildKernels() {
                            h = h * 31 + out.value.Prefix64();
                          }
                          return h;
-                       }});
-  }
-
-  // --- VRF batch verification: the ranked candidates ----------------
-  {
-    struct VrfFixture {
-      std::vector<KeyPair> keys;
-      std::vector<VrfOutput> outs;
-      Hash256 seed;
-    };
-    auto fx = std::make_shared<VrfFixture>();
-    fx->keys = MakeKeys(48, 505);
-    fx->seed = Sha256Digest("bench.parallel.vrf");
-    for (const KeyPair& k : fx->keys) {
-      fx->outs.push_back(VrfEvaluate(k, fx->seed));
-    }
-    kernels.push_back({"vrf_verify_batch_48", [fx](ThreadPool* pool) {
-                         std::vector<const PublicKey*> pks;
-                         std::vector<const VrfOutput*> outs;
-                         for (size_t i = 0; i < fx->keys.size(); ++i) {
-                           pks.push_back(&fx->keys[i].public_key());
-                           outs.push_back(&fx->outs[i]);
-                         }
-                         return FlagChecksum(
-                             VrfVerifyBatch(pks, fx->seed, outs, pool));
                        }});
   }
 

@@ -10,8 +10,8 @@
 #      full ctest (exercises the determinism harness under sanitizers)
 #      plus the same blocking lint step.
 #   3. Debug build with ThreadSanitizer running the parallel-equivalence
-#      and chaos suites — the legs that actually spin up the
-#      deterministic thread pool (DESIGN.md §9).
+#      suite — the one that spins up the deterministic thread pool
+#      (DESIGN.md §9) — and the chaos suite.
 #   4. The release-leg benches with identity gates, then a 2-second
 #      perfbench run of each workload untraced and one traced
 #      (perfbench/README.md).
@@ -128,8 +128,10 @@ run_matrix_leg "$prefix-asan" \
   "-DSHARDCHAIN_SANITIZE=address;undefined"
 
 # TSan leg: ThreadSanitizer cannot combine with ASan, so it gets its
-# own build running only the suites that exercise real threads — the
-# parallel-equivalence/thread-pool binary and the chaos schedules.
+# own build. The parallel label (thread-pool and equivalence binary)
+# runs the two pooled batches and the pool itself at 1–8 threads. The
+# chaos schedules start no thread; they stay in this leg so a thread
+# added to the liveness simulator runs under TSan from the start.
 echo "==== configure $prefix-tsan (thread sanitizer) ===="
 cmake -B "$prefix-tsan" -S . \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -157,10 +159,10 @@ echo "==== bench_churn_recovery (handoff verification gate) ===="
 echo "artifact: $prefix-release/BENCH_churn.json"
 
 # Thread-pool scaling bench. Also a correctness gate: it aborts unless
-# every batch the pool runs in src/ (VRF evaluation and verification,
-# Lamport signature verification, each at its real size) is identical
-# to the serial result at every thread count before it times them
-# (DESIGN.md §9). Artifact: BENCH_parallel.json.
+# both batches the pool runs in src/ (VRF evaluation and Lamport
+# signature verification, each at its real size, one item per pool
+# task) are identical to the serial result at every thread count
+# before it times them (DESIGN.md §9). Artifact: BENCH_parallel.json.
 echo "==== bench_parallel_scaling (serial/parallel identity gate) ===="
 (cd "$prefix-release" && ./bench/bench_parallel_scaling)
 echo "artifact: $prefix-release/BENCH_parallel.json"

@@ -87,7 +87,7 @@ Result<PipelineResult> BlockPipeline::Run(const Address& miner, size_t count) {
       // Commit stage: replay the delta, derive the root, finalize the
       // header (FIFO chaining via worker-local prev_hash). Explicit
       // captures only — the closure owns its inputs by value and the
-      // worker-confined state by pointer (§9 / tools/parlint).
+      // worker-confined state by pointer.
       committer.Submit([block = std::move(block), delta = std::move(delta),
                         commit = &commit_state, out = &prepared,
                         prev = &prev_hash]() mutable {

@@ -77,7 +77,8 @@ uint64_t SplitMix64(uint64_t* state);
 
 /// Deterministic per-chunk seed: SplitMix64 over (base, index) — the
 /// same construction FaultPlan::Mix uses — so a chunk's RNG stream
-/// depends only on its logical index (DESIGN.md §9, rule 4).
+/// depends only on its logical index. The merging game's chunked
+/// serial loops draw from it, which pins their bytes (DESIGN.md §9).
 uint64_t ChunkSeed(uint64_t base, uint64_t index);
 
 }  // namespace shardchain

@@ -13,21 +13,13 @@ Result<size_t> ElectLeader(const std::vector<LeaderCandidate>& candidates,
 }
 
 Result<std::vector<size_t>> RankCandidates(
-    const std::vector<LeaderCandidate>& candidates, const Hash256& seed,
-    ThreadPool* pool) {
-  std::vector<const PublicKey*> pks;
-  std::vector<const VrfOutput*> outs;
-  pks.reserve(candidates.size());
-  outs.reserve(candidates.size());
-  for (const LeaderCandidate& c : candidates) {
-    pks.push_back(&c.public_key);
-    outs.push_back(&c.vrf);
-  }
-  const std::vector<uint8_t> valid = VrfVerifyBatch(pks, seed, outs, pool);
+    const std::vector<LeaderCandidate>& candidates, const Hash256& seed) {
   std::vector<size_t> ranked;
   ranked.reserve(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    if (valid[i]) ranked.push_back(i);
+    if (VrfVerify(candidates[i].public_key, seed, candidates[i].vrf)) {
+      ranked.push_back(i);
+    }
   }
   if (ranked.empty()) {
     return Status::NotFound("no candidate with a valid VRF proof");

@@ -39,12 +39,9 @@ Result<size_t> ElectLeader(const std::vector<LeaderCandidate>& candidates,
 /// proof on `seed`, ordered by ascending ticket (ties broken by index).
 /// ranked[0] is the elected leader; ranked[v] is the leader of view v
 /// after v view changes (see EpochManager::VerifyView). Fails if no
-/// candidate is valid. `pool` parallelizes the per-candidate VRF proof
-/// verification (a pure predicate per candidate, so the ranking is
-/// identical at any thread count); nullptr verifies serially.
+/// candidate is valid.
 Result<std::vector<size_t>> RankCandidates(
-    const std::vector<LeaderCandidate>& candidates, const Hash256& seed,
-    ThreadPool* pool = nullptr);
+    const std::vector<LeaderCandidate>& candidates, const Hash256& seed);
 
 /// RandHound-lite: miners are "separated to 100 groups evenly"; returns
 /// this miner's group, a deterministic uniform draw in [1, 100] from

@@ -11,8 +11,8 @@ namespace shardchain {
 
 ShardingSystem::ShardingSystem(ShardingSystemConfig config, uint64_t seed)
     : config_(std::move(config)), rng_(seed) {
-  if (config_.parallel.Resolve() > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.parallel.Resolve());
+  if (config_.parallel.threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(config_.parallel.threads);
   }
 }
 
@@ -124,7 +124,7 @@ std::vector<NodeId> ShardingSystem::LiveMiners() const {
 }
 
 MinerStatus ShardingSystem::StatusOfMiner(NodeId miner) const {
-  assert(miner < miners_.size());
+  if (miner >= miners_.size()) return MinerStatus::kDeparted;
   return miners_[miner].status;
 }
 
@@ -149,14 +149,42 @@ void ShardingSystem::ActivateBoundaryChurn() {
 
 // --- Epochs ----------------------------------------------------------
 
-Status ShardingSystem::BeginEpoch(uint64_t epoch_nonce) {
-  (void)epoch_nonce;  // The chained epoch seed supersedes the nonce.
+Result<std::vector<NodeId>> ShardingSystem::OpenBoundary() {
   FlushPendingEvictions();
   ActivateBoundaryChurn();
-  const std::vector<NodeId> live = LiveMiners();
+  std::vector<NodeId> live = LiveMiners();
   if (live.empty()) {
     return Status::FailedPrecondition("no live miners");
   }
+  return live;
+}
+
+void ShardingSystem::AssignEpoch(const std::vector<NodeId>& live,
+                                 bool fallback) {
+  // Everyone derives their shard from public data. Registration routes
+  // through the true NodeIds, NOT the candidate positions: under churn
+  // the live set has holes, and positional registration would pin a
+  // stale node onto another miner's shard (the stale-shard bug class).
+  std::vector<Hash256> ids;
+  ids.reserve(live.size());
+  for (NodeId m : live) ids.push_back(miners_[m].id);
+  const std::vector<ShardId> assignment =
+      AssignAllMiners(randomness_, ids, fractions_, /*net=*/nullptr);
+  for (size_t c = 0; c < live.size(); ++c) {
+    miners_[live[c]].shard = assignment[c];
+    net_.Register(live[c], assignment[c]);
+  }
+  epoch_active_ = true;
+  fallback_epoch_ = fallback;
+  leader_crashed_ = false;
+  epoch_population_ = live.size();
+  epoch_log_start_ = migration_log_.size();
+}
+
+Status ShardingSystem::BeginEpoch(uint64_t epoch_nonce) {
+  (void)epoch_nonce;  // The chained epoch seed supersedes the nonce.
+  std::vector<NodeId> live;
+  SHARDCHAIN_ASSIGN_OR_RETURN(live, OpenBoundary());
   // Epoch seed chains from history (EpochManager): public and
   // grind-resistant.
   const Hash256 seed = epochs_.NextSeed();
@@ -184,38 +212,16 @@ Status ShardingSystem::BeginEpoch(uint64_t epoch_nonce) {
   // the true NodeId — with no churn, live[c] == c and this is identity.
   leader_ = live[record->leader_index];
   randomness_ = record->randomness;
-
-  // Everyone derives their shard from public data. Registration routes
-  // through the true NodeIds, NOT the candidate positions: under churn
-  // the live set has holes, and positional registration would pin a
-  // stale node onto another miner's shard (the stale-shard bug class).
-  std::vector<Hash256> ids;
-  ids.reserve(live.size());
-  for (NodeId m : live) ids.push_back(miners_[m].id);
-  const std::vector<ShardId> assignment =
-      AssignAllMiners(randomness_, ids, fractions_, /*net=*/nullptr);
-  for (size_t c = 0; c < live.size(); ++c) {
-    miners_[live[c]].shard = assignment[c];
-    net_.Register(live[c], assignment[c]);
-  }
+  AssignEpoch(live, /*fallback=*/false);
 
   // Leader broadcast of (randomness, fractions): one message per node.
   net_.Broadcast(leader_, MsgKind::kLeaderBroadcast);
-  epoch_active_ = true;
-  fallback_epoch_ = false;
-  leader_crashed_ = false;
-  epoch_population_ = live.size();
-  epoch_log_start_ = migration_log_.size();
   return Status::OK();
 }
 
 Status ShardingSystem::BeginFallbackEpoch() {
-  FlushPendingEvictions();
-  ActivateBoundaryChurn();
-  const std::vector<NodeId> live = LiveMiners();
-  if (live.empty()) {
-    return Status::FailedPrecondition("no live miners");
-  }
+  std::vector<NodeId> live;
+  SHARDCHAIN_ASSIGN_OR_RETURN(live, OpenBoundary());
   Result<EpochRecord> record = epochs_.AdvanceFallback();
   if (!record.ok()) return record.status();
   randomness_ = record->randomness;
@@ -223,27 +229,13 @@ Status ShardingSystem::BeginFallbackEpoch() {
   leader_ = 0;  // Meaningless in a leaderless epoch.
 
   // The single 100% fraction routes every draw to the MaxShard; the
-  // assignment still runs so membership checks verify as usual.
-  std::vector<Hash256> ids;
-  ids.reserve(live.size());
-  for (NodeId m : live) ids.push_back(miners_[m].id);
-  const std::vector<ShardId> assignment =
-      AssignAllMiners(randomness_, ids, fractions_, /*net=*/nullptr);
-  for (size_t c = 0; c < live.size(); ++c) {
-    miners_[live[c]].shard = assignment[c];
-    net_.Register(live[c], assignment[c]);
-  }
-  // No leader broadcast: the fallback needs no message to agree on.
-  epoch_active_ = true;
-  fallback_epoch_ = true;
-  leader_crashed_ = false;
-  epoch_population_ = live.size();
-  epoch_log_start_ = migration_log_.size();
+  // assignment still runs so membership checks verify as usual. No
+  // leader broadcast: the fallback needs no message to agree on.
+  AssignEpoch(live, /*fallback=*/true);
   return Status::OK();
 }
 
 ShardId ShardingSystem::ShardOfMiner(NodeId miner) const {
-  assert(miner < miners_.size());
   if (!MinerLive(miner)) return kUnassignedShard;
   return ResolveShard(miners_[miner].shard);
 }
@@ -515,6 +507,21 @@ Status ShardingSystem::MigrateShardState(ShardId source, ShardId target) {
   return Status::OK();
 }
 
+Status ShardingSystem::MergeShardInto(ShardId source, ShardId target) {
+  // Authenticated state handoff BEFORE the pool moves: senders with
+  // advanced nonces on the source chain keep passing the nonce check
+  // on the target instead of silently dropping.
+  SHARDCHAIN_RETURN_IF_ERROR(MigrateShardState(source, target));
+  ShardState& from = shards_.at(source);
+  ShardState& to = GetOrCreateShard(target);
+  for (const Transaction& tx : from.pool.All()) {
+    (void)to.pool.Add(tx);
+  }
+  from.pool.RemoveAll(from.pool.All());
+  from.merged_into = target;
+  return Status::OK();
+}
+
 Result<MigrationPlan> ShardingSystem::MigrateShardToMaxShard(ShardId shard) {
   shard = ResolveShard(shard);
   if (shard == kMaxShardId) {
@@ -528,19 +535,12 @@ Result<MigrationPlan> ShardingSystem::MigrateShardToMaxShard(ShardId shard) {
   MigrationPlan plan;
   plan.epoch = epochs_.EpochCount();
   const size_t log_start = migration_log_.size();
-  SHARDCHAIN_RETURN_IF_ERROR(MigrateShardState(shard, kMaxShardId));
+  SHARDCHAIN_RETURN_IF_ERROR(MergeShardInto(shard, kMaxShardId));
   plan.handoffs.assign(migration_log_.begin() + log_start,
                        migration_log_.end());
   CanonicalizeMigrationPlan(&plan);
 
-  // Pool, surviving miners, and routing follow the state.
-  ShardState& source = shards_.at(shard);
-  ShardState& dest = GetOrCreateShard(kMaxShardId);
-  for (const Transaction& tx : source.pool.All()) {
-    (void)dest.pool.Add(tx);
-  }
-  source.pool.RemoveAll(source.pool.All());
-  source.merged_into = kMaxShardId;
+  // Surviving miners and routing follow the state and the pool.
   for (size_t i = 0; i < miners_.size(); ++i) {
     const NodeId m = static_cast<NodeId>(i);
     if (!MinerLive(m)) continue;
@@ -635,22 +635,12 @@ IterativeMergeResult ShardingSystem::MergeSmallShards() {
     ShardId target = small_ids[group[0]];
     for (size_t idx : group) target = std::min(target, small_ids[idx]);
 
-    ShardState& target_state = GetOrCreateShard(target);
     for (size_t idx : group) {
       const ShardId source = small_ids[idx];
       if (source == target) continue;
-      // Authenticated state handoff BEFORE the pool moves: senders with
-      // advanced nonces on the source chain keep passing the nonce check
-      // on the merged shard instead of silently dropping.
-      Status migrated = MigrateShardState(source, target);
-      assert(migrated.ok());
-      (void)migrated;
-      ShardState& source_state = shards_.at(source);
-      for (const Transaction& tx : source_state.pool.All()) {
-        (void)target_state.pool.Add(tx);
-      }
-      source_state.pool.RemoveAll(source_state.pool.All());
-      source_state.merged_into = target;
+      Status merged = MergeShardInto(source, target);
+      assert(merged.ok());
+      (void)merged;
     }
     // Shard reward: every (serving) miner of a merged small shard gets
     // G (Sec. IV-A1), credited system-side like the block reward.
@@ -733,8 +723,7 @@ std::vector<ShardSelectionPlan> ShardingSystem::ComputeShardSelectionPlans()
 }
 
 Amount ShardingSystem::ShardRewardOf(NodeId miner) const {
-  assert(miner < miners_.size());
-  return miners_[miner].shard_rewards;
+  return miner < miners_.size() ? miners_[miner].shard_rewards : 0;
 }
 
 }  // namespace shardchain

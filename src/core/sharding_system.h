@@ -34,9 +34,9 @@ struct ShardingSystemConfig {
   MergingGameConfig merge;
   SelectionGameConfig select;
   /// Local execution knob: how many threads the system's deterministic
-  /// pool uses for the VRF batches. Never serialized, never part of
-  /// UnifiedParameters — at any setting every output byte matches
-  /// `threads = 1` (DESIGN.md §9).
+  /// pool uses for the epoch's VRF evaluations (one by default). Never
+  /// serialized, never part of UnifiedParameters — at any setting every
+  /// output byte matches `threads = 1` (DESIGN.md §9).
   ParallelConfig parallel;
 };
 
@@ -123,6 +123,7 @@ class ShardingSystem {
   size_t LiveMinerCount() const;
   /// NodeIds of live miners, ascending.
   std::vector<NodeId> LiveMiners() const;
+  /// kDeparted for an id this system never issued.
   MinerStatus StatusOfMiner(NodeId miner) const;
 
   /// True when the current epoch lost its leader to a crash or over
@@ -161,7 +162,8 @@ class ShardingSystem {
   bool EpochActive() const { return epoch_active_; }
   NodeId leader() const { return leader_; }
   const Hash256& epoch_randomness() const { return randomness_; }
-  /// Current shard of a miner (kUnassignedShard once departed).
+  /// Current shard of a miner (kUnassignedShard once departed, or for an
+  /// unknown id).
   ShardId ShardOfMiner(NodeId miner) const;
   std::vector<NodeId> MinersOfShard(ShardId shard) const;
 
@@ -272,11 +274,11 @@ class ShardingSystem {
   /// id.
   std::vector<ShardSelectionPlan> ComputeShardSelectionPlans() const;
 
-  /// The system's deterministic thread pool (nullptr when
-  /// config.parallel resolves to one thread).
+  /// The system's deterministic thread pool (nullptr unless
+  /// config.parallel.threads > 1).
   ThreadPool* pool() const { return pool_.get(); }
 
-  /// Shard rewards credited so far to a miner.
+  /// Shard rewards credited so far to a miner (0 for an unknown id).
   Amount ShardRewardOf(NodeId miner) const;
 
  private:
@@ -318,11 +320,26 @@ class ShardingSystem {
   /// depart (and leave the network's membership view).
   void ActivateBoundaryChurn();
 
+  /// The boundary both epoch kinds open with: deferred evictions land,
+  /// boundary churn applies, and the live miners are returned
+  /// (FailedPrecondition when none is left).
+  Result<std::vector<NodeId>> OpenBoundary();
+
+  /// The tail both epoch kinds close with: assigns `live` from
+  /// randomness_ and fractions_, re-registers each miner under its true
+  /// NodeId, and resets the per-epoch fields.
+  void AssignEpoch(const std::vector<NodeId>& live, bool fallback);
+
   /// Moves every account materialized on `source`'s canonical chain
   /// into `target` under handoffs anchored to `source`'s pre-migration
   /// root (all proofs are built against that one root, then verified
   /// and applied).
   Status MigrateShardState(ShardId source, ShardId target);
+
+  /// Folds `source` into `target`: its state first (MigrateShardState),
+  /// then its pool, then the `merged_into` alias. Miners are the
+  /// caller's.
+  Status MergeShardInto(ShardId source, ShardId target);
 
   /// Merges every live shard that lost all its live miners into the
   /// MaxShard (called after a crash).
@@ -338,8 +355,8 @@ class ShardingSystem {
   void FlushPendingEvictions();
 
   ShardingSystemConfig config_;
-  /// Created once from config_.parallel for the VRF batches; stays null
-  /// for threads = 1 so the serial path has zero pool overhead.
+  /// Created once from config_.parallel for the VRF evaluations; stays
+  /// null for threads <= 1 so the serial path has zero pool overhead.
   std::unique_ptr<ThreadPool> pool_;
   Rng rng_;
   StateDB genesis_state_;

@@ -4,14 +4,6 @@
 
 namespace shardchain {
 
-namespace {
-
-/// Each Verify hashes 8 KiB of preimages; a few per chunk amortizes
-/// dispatch (same grain reasoning as kVrfGrain in vrf.cc).
-constexpr size_t kVerifyGrain = 4;
-
-}  // namespace
-
 Hash256 PublicKey::Fingerprint() const {
   // The 512 commitments in order, with no padding between them.
   static_assert(sizeof(hashes) == 512 * sizeof(Hash256));
@@ -71,10 +63,9 @@ std::vector<uint8_t> VerifyBatch(const std::vector<const PublicKey*>& pks,
                                  ThreadPool* pool) {
   std::vector<uint8_t> ok(pks.size(), 0);
   if (digests.size() != pks.size() || sigs.size() != pks.size()) return ok;
-  ParallelFor(pool, pks.size(), kVerifyGrain,
-              [&ok, &pks, &digests, &sigs](size_t i) {
-                ok[i] = Verify(*pks[i], *digests[i], *sigs[i]) ? 1 : 0;
-              });
+  ParallelFor(pool, pks.size(), [&ok, &pks, &digests, &sigs](size_t i) {
+    ok[i] = Verify(*pks[i], *digests[i], *sigs[i]) ? 1 : 0;
+  });
   return ok;
 }
 

@@ -91,13 +91,11 @@ class KeyPair {
 bool Verify(const PublicKey& pk, const Hash256& message_digest,
             const Signature& sig);
 
-/// Batch verification (the VRF batch shape, extended to plain
-/// signatures for mempool admission): ok[i] = Verify(*pks[i],
+/// Batch verification for mempool admission: ok[i] = Verify(*pks[i],
 /// *digests[i], *sigs[i]). Independent per element — one forged
 /// signature flips only its own slot. Deterministic for any pool per
-/// the §9 contract (disjoint writes, no reduction). When `digests` or
-/// `sigs` differs in length from `pks`, every slot of the `pks.size()`
-/// result is 0.
+/// §9 (index i writes only slot i). When `digests` or `sigs` differs in
+/// length from `pks`, every slot of the `pks.size()` result is 0.
 std::vector<uint8_t> VerifyBatch(const std::vector<const PublicKey*>& pks,
                                  const std::vector<const Hash256*>& digests,
                                  const std::vector<const Signature*>& sigs,

@@ -6,10 +6,6 @@ namespace shardchain {
 
 namespace {
 
-/// Lamport evaluate/verify hash ~16 KiB of key material per call, so a
-/// handful of identities per chunk already amortizes the dispatch.
-constexpr size_t kVrfGrain = 4;
-
 /// The VRF value: SHA-256 over the proof's 256 revealed preimages in
 /// order, with no padding between them.
 Hash256 ProofValue(const Signature& proof) {
@@ -44,23 +40,10 @@ std::vector<VrfOutput> VrfEvaluateBatch(const std::vector<const KeyPair*>& keys,
                                         const Hash256& seed,
                                         ThreadPool* pool) {
   std::vector<VrfOutput> out(keys.size());
-  ParallelFor(pool, keys.size(), kVrfGrain, [&out, &keys, &seed](size_t i) {
+  ParallelFor(pool, keys.size(), [&out, &keys, &seed](size_t i) {
     out[i] = VrfEvaluate(*keys[i], seed);
   });
   return out;
-}
-
-std::vector<uint8_t> VrfVerifyBatch(const std::vector<const PublicKey*>& pks,
-                                    const Hash256& seed,
-                                    const std::vector<const VrfOutput*>& outs,
-                                    ThreadPool* pool) {
-  std::vector<uint8_t> ok(pks.size(), 0);
-  if (outs.size() != pks.size()) return ok;
-  ParallelFor(pool, pks.size(), kVrfGrain,
-              [&ok, &pks, &seed, &outs](size_t i) {
-                ok[i] = VrfVerify(*pks[i], seed, *outs[i]) ? 1 : 0;
-              });
-  return ok;
 }
 
 double VrfTicket(const Hash256& value) {

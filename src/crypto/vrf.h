@@ -39,15 +39,6 @@ bool VrfVerify(const PublicKey& pk, const Hash256& seed,
 std::vector<VrfOutput> VrfEvaluateBatch(const std::vector<const KeyPair*>& keys,
                                         const Hash256& seed, ThreadPool* pool);
 
-/// Batch verification: out[i] = VrfVerify(*pks[i], seed, *outs[i]).
-/// When `outs` differs in length from `pks`, every slot of the
-/// `pks.size()` result is 0, as in `VerifyBatch`. uint8_t (not bool) so
-/// the flags are independently addressable per lane.
-std::vector<uint8_t> VrfVerifyBatch(const std::vector<const PublicKey*>& pks,
-                                    const Hash256& seed,
-                                    const std::vector<const VrfOutput*>& outs,
-                                    ThreadPool* pool);
-
 /// Maps a VRF value to a lottery ticket in [0, 1). Leader election picks
 /// the miner with the smallest ticket (Sec. III-B / Omniledger style).
 double VrfTicket(const Hash256& value);

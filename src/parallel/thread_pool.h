@@ -18,36 +18,27 @@ namespace shardchain {
 /// (see DESIGN.md §9), so ParallelConfig is deliberately absent from
 /// every codec and every UnifiedParameters field.
 struct ParallelConfig {
-  /// Total threads participating in parallel regions (workers plus the
-  /// calling thread). 0 = use std::thread::hardware_concurrency();
-  /// 1 = strictly serial — no pool is ever created and every parallel
-  /// primitive degenerates to the plain loop.
-  size_t threads = 0;
-
-  /// The effective thread count (always >= 1).
-  size_t Resolve() const {
-    if (threads != 0) return threads;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<size_t>(hw);
-  }
+  /// Total threads in a parallel region (workers plus the calling
+  /// thread). 1, the default, is strictly serial: no pool is created
+  /// and ParallelFor is the plain loop; 0 reads as 1.
+  size_t threads = 1;
 };
 
 /// \brief A deterministic fork-join thread pool.
 ///
 /// Deliberately work-stealing-free: a parallel region is a fixed list
-/// of chunks [0, num_chunks) and idle threads claim the next chunk from
-/// a shared cursor. WHICH thread runs a chunk is scheduler-dependent,
-/// but because every primitive built on top (ParallelChunks /
-/// ParallelFor in parallel.h) makes chunk boundaries a function of the
-/// problem size alone and each chunk writes only its own slots, WHAT
-/// each chunk computes is not. Results are therefore independent of
-/// thread count and scheduling, which is what lets the consensus-
-/// critical VRF batches use this pool at all (Sec. IV-C requires every
-/// miner to recompute the epoch bit-identically).
+/// of tasks [0, num_chunks) and idle threads claim the next index from
+/// a shared cursor. WHICH thread runs an index is scheduler-dependent,
+/// but because ParallelFor (parallel.h) lets index i write only its own
+/// slot, WHAT each index computes is not. Results are therefore
+/// independent of thread count and scheduling, which is what lets the
+/// consensus-critical VRF batch use this pool at all (Sec. IV-C
+/// requires every miner to recompute the epoch bit-identically).
 ///
 /// The pool owns `threads - 1` workers; the thread calling Run()
 /// participates as the final lane, so `ThreadPool(1)` spawns nothing
-/// and runs chunks inline — bitwise identical to the pool-free loop.
+/// and runs the indices inline — bitwise identical to the pool-free
+/// loop.
 class ThreadPool {
  public:
   /// Spawns `threads - 1` workers (clamped so `threads == 0` behaves

@@ -54,9 +54,6 @@ EpochLivenessSim::EpochLivenessSim(const LivenessConfig& config, uint64_t seed)
     : config_(config),
       rng_(seed),
       gossip_(config.num_miners, config.gossip, &rng_) {
-  if (config_.parallel.Resolve() > 1) {
-    pool_ = std::make_unique<ThreadPool>(config_.parallel.Resolve());
-  }
   miners_.reserve(config.num_miners);
   for (size_t i = 0; i < config.num_miners; ++i) {
     KeyPair keys = KeyPair::Generate(&rng_);
@@ -138,20 +135,16 @@ void EpochLivenessSim::BuildCandidates(
     std::vector<LeaderCandidate>* candidates,
     std::vector<NodeId>* cand_to_miner) const {
   const Hash256 seed = epochs_.NextSeed();
-  std::vector<const KeyPair*> keys;
   for (size_t i = 0; i < miners_.size(); ++i) {
     const NodeId m = static_cast<NodeId>(i);
     if (departed_[i]) continue;  // Churned out for good.
     if (std::find(excluded_.begin(), excluded_.end(), m) != excluded_.end()) {
       continue;  // Last epoch's beacon withholders sit this one out.
     }
-    keys.push_back(&miners_[i].keys);
-    cand_to_miner->push_back(m);
-  }
-  std::vector<VrfOutput> vrfs = VrfEvaluateBatch(keys, seed, pool_.get());
-  for (size_t c = 0; c < keys.size(); ++c) {
+    const KeyPair& keys = miners_[i].keys;
     candidates->push_back(
-        LeaderCandidate{keys[c]->public_key(), std::move(vrfs[c])});
+        LeaderCandidate{keys.public_key(), VrfEvaluate(keys, seed)});
+    cand_to_miner->push_back(m);
   }
 }
 
@@ -170,7 +163,7 @@ std::vector<NodeId> EpochLivenessSim::NextRanking() const {
   std::vector<NodeId> cand_to_miner;
   BuildCandidates(&candidates, &cand_to_miner);
   Result<std::vector<size_t>> ranked =
-      RankCandidates(candidates, epochs_.NextSeed(), pool_.get());
+      RankCandidates(candidates, epochs_.NextSeed());
   std::vector<NodeId> out;
   if (!ranked.ok()) return out;  // No candidates: nobody can lead.
   out.reserve(ranked->size());
@@ -190,8 +183,7 @@ EpochOutcome EpochLivenessSim::RunEpoch(FaultPlan* faults) {
   std::vector<LeaderCandidate> candidates;
   std::vector<NodeId> cand_to_miner;
   BuildCandidates(&candidates, &cand_to_miner);
-  Result<std::vector<size_t>> ranked_r =
-      RankCandidates(candidates, seed, pool_.get());
+  Result<std::vector<size_t>> ranked_r = RankCandidates(candidates, seed);
   // Failover order as miner ids; each miner's VRF value is common
   // knowledge (simulator shortcut, see class comment).
   std::vector<NodeId> ranked;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,7 +13,6 @@
 #include "crypto/keys.h"
 #include "net/faults.h"
 #include "net/gossip.h"
-#include "parallel/thread_pool.h"
 #include "sim/event_queue.h"
 
 namespace shardchain {
@@ -43,11 +41,6 @@ struct LivenessConfig {
   /// Every live miner decides at this instant: lowest received view,
   /// or the MaxShard fallback when none arrived.
   double decision_deadline = 12.0;
-  /// Thread pool for the VRF batches inside the sim. Defaults to 1
-  /// (strictly serial) so existing chaos schedules run unchanged; any
-  /// setting yields byte-identical outcomes
-  /// (DESIGN.md §9) — the parallel-equivalence suite asserts this.
-  ParallelConfig parallel{1};
 
   /// When view v's leader checks its inbox and (if still empty)
   /// publishes its broadcast.
@@ -181,8 +174,6 @@ class EpochLivenessSim {
   Bytes BeaconShare(NodeId miner, const Hash256& seed) const;
 
   LivenessConfig config_;
-  /// Null when config_.parallel resolves to one thread.
-  std::unique_ptr<ThreadPool> pool_;
   Rng rng_;
   std::vector<Miner> miners_;
   GossipNetwork gossip_;

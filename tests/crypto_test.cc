@@ -473,24 +473,6 @@ TEST(VrfTest, VerifyRejectsTamperedValue) {
   EXPECT_FALSE(VrfVerify(kp.public_key(), seed, out));
 }
 
-// A length mismatch fails every slot in every build, instead of reading
-// past the end of `outs`.
-TEST(VrfTest, VerifyBatchRejectsLengthMismatch) {
-  KeyPair a = KeyPair::FromSeed(16);
-  KeyPair b = KeyPair::FromSeed(17);
-  const Hash256 seed = Sha256Digest("s");
-  const VrfOutput out_a = VrfEvaluate(a, seed);
-  const VrfOutput out_b = VrfEvaluate(b, seed);
-  const std::vector<const PublicKey*> pks = {&a.public_key(),
-                                             &b.public_key()};
-  const std::vector<uint8_t> none(2, 0);
-  EXPECT_EQ(VrfVerifyBatch(pks, seed, {&out_a}, nullptr), none);
-  EXPECT_EQ(VrfVerifyBatch(pks, seed, {&out_a, &out_b, &out_b}, nullptr),
-            none);
-  EXPECT_EQ(VrfVerifyBatch(pks, seed, {&out_a, &out_b}, nullptr),
-            std::vector<uint8_t>(2, 1));
-}
-
 TEST(VrfTest, TicketInUnitInterval) {
   KeyPair kp = KeyPair::FromSeed(15);
   for (int i = 0; i < 8; ++i) {

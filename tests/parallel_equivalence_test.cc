@@ -1,21 +1,18 @@
 // Differential serial-vs-parallel suite (ctest label: parallel): the
-// VRF batches, the only consensus inputs that still fan out over the
-// pool, are computed at thread counts {1, 2, 3, 4, 7, 8} and asserted
-// identical to the serial result. The games take no pool, but their
-// merge and selection plans, computed for twenty seeds side by side on
-// worker threads at each of those counts, must encode to the serial
-// bytes and leave the decoded broadcast unchanged; a whole
+// VRF evaluation batch, the only consensus input that still fans out
+// over the pool, is computed at thread counts {1, 2, 3, 4, 7, 8} and
+// asserted identical to the serial result. The games take no pool, but
+// their merge and selection plans, computed for twenty seeds side by
+// side on worker threads at each of those counts, must encode to the
+// serial bytes and leave the decoded broadcast unchanged; a whole
 // ShardingSystem epoch — merge plan, per-shard parameters and
 // selection plans — must encode to the same bytes at every thread
 // count. This is the Sec. IV-C requirement in executable form: a
-// miner's plan bytes may not depend on how many cores her machine has.
-// A chaos-suite schedule re-run with threads=4 closes the loop
-// end-to-end through the liveness simulator. Concurrent StateDB forks,
-// mutated on pool threads, must match a serial replay while their
-// shared base stays untouched.
+// miner's plan bytes may not depend on how many cores the machine has.
+// Concurrent StateDB forks, mutated on pool threads, must match a
+// serial replay while their shared base stays untouched.
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,11 +22,9 @@
 #include "core/unification.h"
 #include "core/unification_codec.h"
 #include "crypto/vrf.h"
-#include "net/faults.h"
 #include "parallel/parallel.h"
 #include "parallel/thread_pool.h"
 #include "seeded_params.h"
-#include "sim/liveness.h"
 #include "state/statedb.h"
 
 namespace shardchain {
@@ -51,7 +46,7 @@ void ExpectSerialBytesOnEveryPool(const Plan& plan, const char* what) {
   for (const size_t threads : kThreadCounts) {
     ThreadPool pool(threads);
     std::vector<Bytes> on_pool(kNumSeeds);
-    ParallelFor(&pool, kNumSeeds, 1,
+    ParallelFor(&pool, kNumSeeds,
                 [&plan, &on_pool](size_t i) { on_pool[i] = plan(i + 1); });
     for (size_t i = 0; i < kNumSeeds; ++i) {
       ASSERT_EQ(on_pool[i], serial[i])
@@ -105,20 +100,16 @@ TEST(ParallelEquivalence, VrfBatchesMatchSerial) {
     const Hash256 vseed = Sha256Digest("vrf." + std::to_string(seed));
     const VrfOutput vrf = VrfEvaluate(key, vseed);
     std::vector<const KeyPair*> keys(5, &key);
-    std::vector<const PublicKey*> pks(5, &key.public_key());
-    std::vector<const VrfOutput*> outs(5, &vrf);
 
     for (const size_t threads : kThreadCounts) {
       ThreadPool pool(threads);
       const std::vector<VrfOutput> evals =
           VrfEvaluateBatch(keys, vseed, &pool);
+      ASSERT_EQ(evals.size(), keys.size()) << threads << " threads";
       for (const VrfOutput& e : evals) {
-        ASSERT_EQ(e.value, vrf.value);
-        ASSERT_EQ(e.proof, vrf.proof);
+        ASSERT_EQ(e.value, vrf.value) << threads << " threads";
+        ASSERT_EQ(e.proof, vrf.proof) << threads << " threads";
       }
-      const std::vector<uint8_t> valid =
-          VrfVerifyBatch(pks, vseed, outs, &pool);
-      ASSERT_EQ(valid, std::vector<uint8_t>(5, 1)) << threads << " threads";
     }
   }
 }
@@ -162,92 +153,6 @@ TEST(ParallelEquivalence, ShardingSystemEpochIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(serial.empty());
   for (const size_t threads : kThreadCounts) {
     ASSERT_EQ(run(threads), serial) << threads << " threads";
-  }
-}
-
-// --- Chaos schedule at threads=4 -------------------------------------
-
-LivenessConfig ChaosConfig(size_t threads) {
-  LivenessConfig config;
-  config.num_miners = 18;
-  config.gossip.deterministic_latency = true;
-  config.parallel.threads = threads;
-  return config;
-}
-
-/// Same envelope as tests/chaos_suite.cc DrawFaults: at most 1/3
-/// faulty, <=30% drop, partitions healing before the deadline.
-FaultConfig DrawFaults(const LivenessConfig& config, Rng* rng,
-                       const std::vector<NodeId>& ranking) {
-  FaultConfig faults;
-  faults.drop_probability = 0.30 * rng->UniformDouble();
-  faults.duplicate_probability = 0.20 * rng->UniformDouble();
-  faults.delay_multiplier_max = 1.0 + 1.5 * rng->UniformDouble();
-
-  const size_t n = config.num_miners;
-  size_t budget = rng->UniformInt(n / 3 + 1);
-  std::set<NodeId> faulty;
-  const size_t num_crashes = rng->UniformInt(budget / 2 + 1);
-  for (size_t i = 0; i < num_crashes; ++i) {
-    const NodeId victim = rng->Bernoulli(0.5) && i < ranking.size()
-                              ? ranking[i]
-                              : static_cast<NodeId>(rng->UniformInt(n));
-    if (!faulty.insert(victim).second) continue;
-    faults.crashes.push_back(
-        {victim, config.decision_deadline * rng->UniformDouble()});
-  }
-  budget -= std::min(budget, faults.crashes.size());
-  if (budget > 0 && rng->Bernoulli(0.7)) {
-    PartitionWindow window;
-    window.start = rng->UniformDouble() * (config.decision_deadline - 4.0);
-    window.end = window.start +
-                 rng->UniformDouble() *
-                     (config.decision_deadline - 2.0 - window.start);
-    while (window.island.size() < budget) {
-      const NodeId node = static_cast<NodeId>(rng->UniformInt(n));
-      if (!faulty.insert(node).second) continue;
-      window.island.push_back(node);
-    }
-    if (!window.island.empty()) faults.partitions.push_back(window);
-  }
-  return faults;
-}
-
-TEST(ParallelEquivalence, ChaosScheduleAtFourThreadsNeverSplits) {
-  // One full chaos schedule with the sim's pool at 4 threads: the
-  // no-split invariant must hold, and every decision must be
-  // byte-identical to the same schedule run strictly serially.
-  auto run = [](size_t threads) {
-    const LivenessConfig config = ChaosConfig(threads);
-    EpochLivenessSim sim(config, /*seed=*/13);
-    Rng rng(0x9e3779b97f4a7c15ull ^ 13);
-    std::vector<EpochOutcome> outcomes;
-    for (int epoch = 0; epoch < 3; ++epoch) {
-      const FaultConfig fault_config =
-          DrawFaults(config, &rng, sim.NextRanking());
-      FaultPlan plan(fault_config, 13 * 1000 + epoch);
-      outcomes.push_back(sim.RunEpoch(&plan));
-    }
-    return outcomes;
-  };
-  const std::vector<EpochOutcome> serial = run(1);
-  const std::vector<EpochOutcome> parallel = run(4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t e = 0; e < serial.size(); ++e) {
-    const EpochOutcome& s = serial[e];
-    const EpochOutcome& p = parallel[e];
-    ASSERT_TRUE(p.converged) << "SPLIT at threads=4, epoch " << e;
-    ASSERT_EQ(s.decisions.size(), p.decisions.size());
-    for (size_t m = 0; m < s.decisions.size(); ++m) {
-      ASSERT_EQ(p.decisions[m].live, s.decisions[m].live)
-          << "epoch " << e << " miner " << m;
-      ASSERT_EQ(p.decisions[m].fallback, s.decisions[m].fallback)
-          << "epoch " << e << " miner " << m;
-      ASSERT_EQ(p.decisions[m].plan, s.decisions[m].plan)
-          << "plan bytes diverged: epoch " << e << " miner " << m;
-      ASSERT_EQ(p.decisions[m].randomness, s.decisions[m].randomness)
-          << "epoch " << e << " miner " << m;
-    }
   }
 }
 
@@ -337,7 +242,7 @@ TEST(ParallelEquivalence, ConcurrentStateForksMatchSerialReplay) {
     ThreadPool pool(threads);
     std::vector<std::vector<Hash256>> roots(kForks);
     std::vector<uint8_t> ok(kForks, 1);
-    ParallelFor(&pool, kForks, 1, [&base, &roots, &ok](size_t f) {
+    ParallelFor(&pool, kForks, [&base, &roots, &ok](size_t f) {
       StateDB fork = base;
       bool fork_ok = true;
       roots[f] = RunForkOps(f, &fork, &fork_ok);

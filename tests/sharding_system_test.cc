@@ -155,6 +155,21 @@ TEST_F(ShardingSystemTest, MineBlockRejectsUnknownMiner) {
   EXPECT_TRUE(system_.MineBlock(42).status().IsInvalidArgument());
 }
 
+// The per-miner queries answer an id the system never issued without
+// indexing the miner table.
+TEST_F(ShardingSystemTest, MinerQueriesAnswerUnknownIds) {
+  for (int i = 0; i < 3; ++i) system_.AddMiner();
+  ASSERT_TRUE(system_.BeginEpoch(1).ok());
+  const NodeId unknown[] = {static_cast<NodeId>(system_.MinerCount()),
+                            static_cast<NodeId>(system_.MinerCount() + 1000)};
+  for (const NodeId id : unknown) {
+    EXPECT_EQ(system_.StatusOfMiner(id), MinerStatus::kDeparted) << id;
+    EXPECT_EQ(system_.ShardRewardOf(id), 0u) << id;
+    EXPECT_EQ(system_.ShardOfMiner(id), kUnassignedShard) << id;
+    EXPECT_FALSE(system_.MinerLive(id)) << id;
+  }
+}
+
 TEST_F(ShardingSystemTest, MineBlocksPipelinedRejectsLikeMineBlock) {
   // Both entry points admit the packer through one set of checks, so
   // every rejection carries the same status code on either path.

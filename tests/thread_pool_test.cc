@@ -1,8 +1,7 @@
-// Unit tests for the deterministic fork-join pool and the parallel
-// primitives built on it (ctest label: parallel). The contract under
-// test is DESIGN.md §9: fixed chunking, disjoint writes, per-chunk
-// seeding — so every result is independent of thread count and
-// scheduling, including the pool-free serial path.
+// Unit tests for the deterministic fork-join pool and ParallelFor
+// (ctest label: parallel). The contract under test is DESIGN.md §9:
+// index i writes only its own slot, so every result is independent of
+// thread count and scheduling, including the pool-free serial path.
 
 #include <atomic>
 #include <cmath>
@@ -12,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
+#include "core/sharding_system.h"
 #include "parallel/parallel.h"
 #include "parallel/thread_pool.h"
 
@@ -23,10 +22,17 @@ namespace {
 // odd, prime, and more-threads-than-chunks shapes.
 const size_t kThreadCounts[] = {1, 2, 3, 4, 7, 8};
 
-TEST(ParallelConfigTest, ResolveHonorsExplicitAndDefault) {
-  EXPECT_EQ(ParallelConfig{1}.Resolve(), 1u);
-  EXPECT_EQ(ParallelConfig{5}.Resolve(), 5u);
-  EXPECT_GE(ParallelConfig{0}.Resolve(), 1u);  // hardware_concurrency.
+// One thread is the default: a system built from a default config
+// spawns no pool, whatever the host's core count.
+TEST(ParallelConfigTest, DefaultShardingSystemHasNoPool) {
+  EXPECT_EQ(ShardingSystemConfig{}.parallel.threads, 1u);
+  ShardingSystem system(ShardingSystemConfig{}, /*seed=*/1);
+  EXPECT_EQ(system.pool(), nullptr);
+  ShardingSystemConfig four;
+  four.parallel.threads = 4;
+  ShardingSystem pooled(four, /*seed=*/1);
+  ASSERT_NE(pooled.pool(), nullptr);
+  EXPECT_EQ(pooled.pool()->thread_count(), 4u);
 }
 
 TEST(ThreadPoolTest, RunsEveryChunkExactlyOnce) {
@@ -52,84 +58,47 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossJobs) {
 }
 
 TEST(ParallelForTest, ThreadsOneMatchesPoolFreePathBitwise) {
-  // A ThreadPool(1) and no pool at all must walk the identical chunks
+  // A ThreadPool(1) and no pool at all must walk the identical indices
   // in the identical order: same doubles, bit for bit.
   const size_t n = 10'007;
   std::vector<double> serial(n), pooled(n);
   auto body = [](size_t i) {
     return std::sin(static_cast<double>(i)) * 1e-3 + 1.0 / (1.0 + i);
   };
-  ParallelFor(nullptr, n, 64, [&](size_t i) { serial[i] = body(i); });
+  ParallelFor(nullptr, n, [&](size_t i) { serial[i] = body(i); });
   ThreadPool one(1);
-  ParallelFor(&one, n, 64, [&](size_t i) { pooled[i] = body(i); });
+  ParallelFor(&one, n, [&](size_t i) { pooled[i] = body(i); });
   EXPECT_EQ(serial, pooled);
-}
-
-TEST(ParallelChunksTest, ChunkBoundariesDependOnlyOnSizeAndGrain) {
-  // Record (begin, end, chunk) triples at several thread counts; the
-  // sets must be identical because boundaries are (n, grain) functions.
-  const size_t n = 1003, grain = 17;
-  auto collect = [&](ThreadPool* pool) {
-    std::vector<std::vector<size_t>> triples(NumChunks(n, grain));
-    ParallelChunks(pool, n, grain, [&](size_t b, size_t e, size_t c) {
-      triples[c] = {b, e, c};
-    });
-    return triples;
-  };
-  const auto expected = collect(nullptr);
-  for (const size_t threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(collect(&pool), expected) << threads << " threads";
-  }
-}
-
-TEST(ParallelChunksTest, ChunkSeedStreamsIndependentOfThreadCount) {
-  // Per-chunk RNG: the draws a chunk makes depend only on its index.
-  const uint64_t base = 0xfeedfacecafebeefull;
-  auto draw = [&](ThreadPool* pool) {
-    std::vector<uint64_t> out(NumChunks(256, 8));
-    ParallelChunks(pool, 256, 8, [&](size_t, size_t, size_t c) {
-      Rng sub(ChunkSeed(base, c));
-      out[c] = sub.Next() ^ sub.Next();
-    });
-    return out;
-  };
-  const auto expected = draw(nullptr);
-  for (const size_t threads : kThreadCounts) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(draw(&pool), expected) << threads << " threads";
-  }
 }
 
 TEST(ThreadPoolTest, FirstExceptionPropagatesAndPoolSurvives) {
   ThreadPool pool(4);
   EXPECT_THROW(
-      ParallelFor(&pool, 100, 1,
+      ParallelFor(&pool, 100,
                   [](size_t i) {
-                    if (i == 37) throw std::runtime_error("chunk 37");
+                    if (i == 37) throw std::runtime_error("index 37");
                   }),
       std::runtime_error);
   // The failed region must drain fully: the pool stays usable.
   std::atomic<int> ran{0};
-  ParallelFor(&pool, 64, 1, [&](size_t) { ++ran; });
+  ParallelFor(&pool, 64, [&](size_t) { ++ran; });
   EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(ThreadPoolTest, NestedParallelForSerializesInline) {
-  // An inner region launched from inside a chunk must not deadlock and
+  // An inner region launched from inside a task must not deadlock and
   // must produce the same values as a serial inner loop.
   ThreadPool pool(4);
   const size_t outer = 8, inner = 32;
   std::vector<std::vector<uint64_t>> got(outer);
   std::vector<uint8_t> was_nested(outer, 0);
-  ParallelFor(&pool, outer, 1, [&](size_t o) {
+  ParallelFor(&pool, outer, [&](size_t o) {
     was_nested[o] = ThreadPool::InParallelRegion() ? 1 : 0;
     got[o].assign(inner, 0);
-    ParallelFor(&pool, inner, 4,
-                [&](size_t i) { got[o][i] = o * 1000 + i; });
+    ParallelFor(&pool, inner, [&](size_t i) { got[o][i] = o * 1000 + i; });
   });
   for (size_t o = 0; o < outer; ++o) {
-    EXPECT_EQ(was_nested[o], 1) << "outer chunk " << o;
+    EXPECT_EQ(was_nested[o], 1) << "outer index " << o;
     for (size_t i = 0; i < inner; ++i) {
       ASSERT_EQ(got[o][i], o * 1000 + i);
     }
@@ -140,9 +109,9 @@ TEST(ThreadPoolTest, NestedParallelForSerializesInline) {
 TEST(ParallelForTest, EmptyAndSingleElementRanges) {
   ThreadPool pool(3);
   int hits = 0;
-  ParallelFor(&pool, 0, 16, [&](size_t) { ++hits; });
+  ParallelFor(&pool, 0, [&](size_t) { ++hits; });
   EXPECT_EQ(hits, 0);
-  ParallelFor(&pool, 1, 16, [&](size_t) { ++hits; });
+  ParallelFor(&pool, 1, [&](size_t) { ++hits; });
   EXPECT_EQ(hits, 1);
 }
 

@@ -19,7 +19,7 @@
 //   nondet:env              getenv()
 //   nondet:hw-threads       hardware_concurrency()
 //   nondet:ptr-order        std::map/set keyed on a pointer
-//   effect:parallel         ParallelFor/ParallelChunks
+//   effect:parallel         ParallelFor
 //   effect:snapshot         member Snapshot()/RevertTo() (and Commit()
 //                           when the same body opens a bracket)
 //   effect:static-mutation  non-const local static state
@@ -31,9 +31,11 @@
 //       kRequiredRoots; rule 3 flags a required root defined without
 //       the annotation.
 //   // flowlint: contract-barrier     — certified boundary (the §9
-//       parallel primitives): taints inside it do NOT propagate to
-//       callers. This is what keeps ThreadPool's hardware_concurrency
-//       read from tainting every consensus root that fans out.
+//       primitive ParallelFor): taints inside it do NOT propagate to
+//       callers. Call resolution is by name, so ParallelFor's
+//       `pool->Run` also resolves to BlockPipeline::Run; without the
+//       barrier that pipeline's effect:snapshot would reach every
+//       caller of VerifyBatch and VrfEvaluateBatch.
 //
 // The per-function taint summary is checked in at
 // tools/flowlint/summaries.json and regenerated with
@@ -93,11 +95,10 @@ constexpr RuleInfo kRules[] = {
      "pointer-keyed ordering; two honest miners would derive different "
      "bytes from the same broadcast (DESIGN.md §7)"},
     {"parallel-body-effects",
-     "a function called (transitively) from inside a "
-     "ParallelFor/ParallelChunks body performs snapshot-"
-     "journal ops, nested parallelism, or static mutation; the §9 "
-     "contract requires parallel bodies to stay effect-free beyond "
-     "their disjoint writes"},
+     "a ParallelFor body performs, or calls anything that transitively "
+     "performs, snapshot-journal ops, nested parallelism, or static "
+     "mutation; the §9 contract lets a body write only its own index's "
+     "slot"},
     {"unannotated-root",
      "a consensus entry point (Ledger::BuildBlock, the codec "
      "encode/decode pairs, the games) defined without its "
@@ -270,7 +271,6 @@ class Analysis {
         {"getenv", "nondet:env", true},
         {"hardware_concurrency", "nondet:hw-threads", false},
         {"ParallelFor", "effect:parallel", true},
-        {"ParallelChunks", "effect:parallel", true},
     };
     for (const Pattern& p : kPatterns) {
       const std::string token = p.token;
@@ -543,69 +543,67 @@ void Analysis::EmitRootFindings(std::vector<Finding>* out) const {
   }
 }
 
-// Rule 2: parallel-body-effects. Scans each function's parallel-call
-// argument extents: a direct snapshot/static seed inside the extent,
-// or a resolved callee carrying any effect:* taint, is an effect
-// smuggled into a parallel region. (Lexically nested Parallel* calls
-// are parlint's nested-parallel; here the nested case is caught when
-// it hides behind a call — the callee then carries effect:parallel.)
+// Rule 2: parallel-body-effects. Scans each function's ParallelFor
+// argument extents: a direct effect seed inside the extent (a snapshot
+// op, a static mutation, or a lexically nested ParallelFor), or a
+// resolved callee carrying any effect:* taint, is an effect smuggled
+// into a parallel region.
 void Analysis::EmitParallelBodyFindings(std::vector<Finding>* out) const {
+  const std::string token = "ParallelFor";
   for (size_t i = 0; i < fns_.size(); ++i) {
     const Fn& fn = fns_[i];
     const Source& src = sources_[fn.src_index];
     const std::string& code = src.code();
     std::set<size_t> emitted;  // Nested extents: once per offset.
-    for (const char* name : {"ParallelChunks", "ParallelFor"}) {
-      const std::string token = name;
-      size_t pos = fn.def.body_open + 1;
-      while ((pos = code.find(token, pos)) != std::string::npos &&
-             pos < fn.def.body_close) {
-        if (!TokenAt(code, pos, token)) {
-          pos += token.size();
-          continue;
-        }
-        size_t open = pos + token.size();
-        while (open < code.size() &&
-               std::isspace(static_cast<unsigned char>(code[open]))) {
-          ++open;
-        }
-        if (open >= code.size() || code[open] != '(') {
-          pos += token.size();
-          continue;
-        }
-        const size_t close = MatchParen(code, open);
-        if (close == std::string::npos) {
-          pos += token.size();
-          continue;
-        }
-        for (const Seed& s : fn.seeds) {
-          if (s.taint != "effect:snapshot" &&
-              s.taint != "effect:static-mutation") {
-            continue;
-          }
-          if (s.offset > open && s.offset < close &&
-              emitted.insert(s.offset).second) {
-            EmitFinding(src, s.offset, "parallel-body-effects",
-                        SeedHop(fn, s), out);
-          }
-        }
-        for (const Edge& e : fn.edges) {
-          if (e.offset <= open || e.offset >= close) continue;
-          const Fn& callee = fns_[e.callee];
-          if (callee.is_barrier) continue;
-          std::string taint;
-          for (const std::string& t : callee.taints) {
-            if (t.rfind("effect:", 0) == 0) {
-              taint = t;
-              break;
-            }
-          }
-          if (taint.empty() || !emitted.insert(e.offset).second) continue;
-          EmitFinding(src, e.offset, "parallel-body-effects",
-                      ChainFor(e.callee, taint), out);
-        }
-        pos = close;
+    size_t pos = fn.def.body_open + 1;
+    while ((pos = code.find(token, pos)) != std::string::npos &&
+           pos < fn.def.body_close) {
+      if (!TokenAt(code, pos, token)) {
+        pos += token.size();
+        continue;
       }
+      size_t open = pos + token.size();
+      while (open < code.size() &&
+             std::isspace(static_cast<unsigned char>(code[open]))) {
+        ++open;
+      }
+      if (open >= code.size() || code[open] != '(') {
+        pos += token.size();
+        continue;
+      }
+      const size_t close = MatchParen(code, open);
+      if (close == std::string::npos) {
+        pos += token.size();
+        continue;
+      }
+      for (const Seed& s : fn.seeds) {
+        if (s.taint != "effect:snapshot" &&
+            s.taint != "effect:static-mutation" &&
+            s.taint != "effect:parallel") {
+          continue;
+        }
+        if (s.offset > open && s.offset < close &&
+            emitted.insert(s.offset).second) {
+          EmitFinding(src, s.offset, "parallel-body-effects",
+                      SeedHop(fn, s), out);
+        }
+      }
+      for (const Edge& e : fn.edges) {
+        if (e.offset <= open || e.offset >= close) continue;
+        const Fn& callee = fns_[e.callee];
+        if (callee.is_barrier) continue;
+        std::string taint;
+        for (const std::string& t : callee.taints) {
+          if (t.rfind("effect:", 0) == 0) {
+            taint = t;
+            break;
+          }
+        }
+        if (taint.empty() || !emitted.insert(e.offset).second) continue;
+        EmitFinding(src, e.offset, "parallel-body-effects",
+                    ChainFor(e.callee, taint), out);
+      }
+      pos = close;
     }
   }
 }

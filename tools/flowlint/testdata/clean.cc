@@ -12,7 +12,7 @@ namespace fixture {
 
 struct ThreadPool;
 template <typename B>
-void ParallelFor(ThreadPool*, size_t, size_t, const B&);
+void ParallelFor(ThreadPool*, size_t, const B&);
 
 inline uint64_t Mix(uint64_t h) {
   h ^= h >> 33;
@@ -29,7 +29,7 @@ inline uint64_t BuildDigest(uint64_t h) {
 inline double Scale(double x) { return 2.0 * x; }
 
 inline void ScaleAll(ThreadPool* pool, std::vector<double>* out) {
-  ParallelFor(pool, out->size(), 64, [out](size_t i) {
+  ParallelFor(pool, out->size(), [out](size_t i) {
     (*out)[i] = Scale((*out)[i]);
   });
 }

@@ -13,7 +13,7 @@ namespace fixture {
 
 struct ThreadPool;
 template <typename B>
-void ParallelFor(ThreadPool*, size_t, size_t, const B&);
+void ParallelFor(ThreadPool*, size_t, const B&);
 
 struct Journal {
   size_t Snapshot();
@@ -46,7 +46,7 @@ inline bool TryApply(Journal* j) {
 
 inline size_t ApplyAll(ThreadPool* pool, Journal* j, size_t n) {
   size_t applied = 0;
-  ParallelFor(pool, n, 64, [j, &applied](size_t i) {
+  ParallelFor(pool, n, [j, &applied](size_t i) {
     (void)i;
     // flowlint:allow(parallel-body-effects): fixture — journal is lock-free
     if (TryApply(j)) ++applied;

@@ -5,19 +5,26 @@
 // entry. This file is never compiled into any target.
 
 #include <cstddef>
-#include <vector>
 
 namespace fixture {
 
-struct ThreadPool;
-template <typename B>
-void ParallelFor(ThreadPool*, size_t, size_t, const B&);
+struct Journal {
+  size_t Snapshot();
+  bool Commit(size_t id);
+  bool RevertTo(size_t id);
+};
 
-// parlint:allow(parallel-ref-capture): left behind after a cleanup
-inline void ScaleInPlace(ThreadPool* pool, std::vector<double>* out) {
-  ParallelFor(pool, out->size(), 64, [out](size_t i) {
-    (*out)[i] = 2.0 * (*out)[i];  // parlint:allow(shared-accumulation)
-  });
+bool TryApply(Journal* state);
+
+// parlint:allow(unbalanced-snapshot): left behind after a cleanup
+inline bool BalancedSnapshot(Journal* state) {
+  const size_t snap = state->Snapshot();
+  if (TryApply(state)) {
+    (void)state->Commit(snap);
+    return true;
+  }
+  (void)state->RevertTo(snap);  // parlint:allow(raw-threading)
+  return false;
 }
 
 }  // namespace fixture
